@@ -6,9 +6,7 @@
 //! ```
 //!
 //! Every subcommand dispatches through
-//! [`iwc_bench::experiments::EXPERIMENTS`], the same registry the legacy
-//! per-experiment binaries delegate to, so `iwc fig10` and `fig10` emit
-//! byte-identical stdout.
+//! [`iwc_bench::experiments::EXPERIMENTS`].
 
 use std::process::ExitCode;
 

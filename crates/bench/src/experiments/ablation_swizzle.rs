@@ -10,8 +10,8 @@
 //! and matches full SCC — the cheapest network that loses nothing.
 //!
 //! This is the registry's extensibility proof: the design point exists as
-//! one engine impl plus this descriptor, with no simulator, trace, or
-//! legacy-binary changes.
+//! one engine impl plus this descriptor, with no simulator or trace
+//! changes.
 
 use super::Outcome;
 use crate::runner;

@@ -2,12 +2,8 @@
 //! tool of the evaluation as one [`Experiment`] descriptor, dispatched by
 //! the unified `iwc` driver binary (`iwc fig10`, `iwc table4`, …).
 //!
-//! The legacy per-experiment binaries (`fig10`, `table4`, …) are thin
-//! wrappers over [`dispatch`], so both entry points share one code path
-//! and emit byte-identical stdout (enforced by
-//! `crates/bench/tests/determinism.rs`). Adding a design point is adding
-//! one module with a `run` function and one row in [`EXPERIMENTS`] —
-//! no new binary, no new scaffolding.
+//! Adding a design point is adding one module with a `run` function and
+//! one row in [`EXPERIMENTS`] — no new binary, no new scaffolding.
 
 mod ablation_dtype;
 mod ablation_energy;
@@ -111,7 +107,7 @@ impl Category {
 /// ownership of its stdout so report text stays byte-identical to the
 /// pre-registry binaries.
 pub struct Experiment {
-    /// Subcommand name (`iwc <name>`), which is also the legacy binary name.
+    /// Subcommand name (`iwc <name>`).
     pub name: &'static str,
     /// One-line description shown by `iwc list`.
     pub about: &'static str,
@@ -332,8 +328,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 }
 
 /// Runs experiment `name` with `args`, handling the perf-harness
-/// bookkeeping — the single code path behind both the `iwc` driver and the
-/// legacy per-experiment binaries.
+/// bookkeeping — the code path behind the `iwc` driver.
 pub fn dispatch(name: &str, args: &[String]) -> ExitCode {
     let Some(exp) = find(name) else {
         match suggest(name) {
@@ -483,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn every_legacy_binary_has_an_entry() {
+    fn every_documented_experiment_has_an_entry() {
         for name in [
             "fig3",
             "fig8",

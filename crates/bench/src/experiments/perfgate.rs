@@ -5,11 +5,13 @@
 //! `{ threads, wall_ms, cells }` line per recorded sweep, carried forward
 //! across regenerations — so the repo already stores a per-machine perf
 //! trajectory. This gate turns that trajectory into a pass/fail signal:
-//! for each report it picks the *current* run (the largest sweep recorded
-//! at the report's own thread count), derives its rate in cells per
-//! second, takes the **median of the remaining runs** (up to the last
+//! for each report it picks the *current* run (the last run recorded at
+//! the report's own thread count; writers append runs in recording
+//! order), derives its rate in cells per second, takes the **median of
+//! the other runs over the same number of cells** (up to the last
 //! [`BASELINE_POOL`]) as the baseline, and fails when the current rate
-//! falls below `baseline × (1 − tolerance)`.
+//! falls below `baseline × (1 − tolerance)`. Runs over a different cell
+//! count measured a different sweep, so they never enter the baseline.
 //!
 //! The median-of-pool baseline makes the gate robust to a single noisy
 //! historical run, and the tolerance band (default ±20%,
@@ -125,22 +127,23 @@ fn median(xs: &[f64]) -> Option<f64> {
     })
 }
 
-/// Judges one report text: current = the largest sweep at the header
-/// thread count (falling back to the last run line), baseline = median of
-/// the remaining runs' rates, pool capped at [`BASELINE_POOL`].
+/// Judges one report text: current = the last run at the header thread
+/// count (falling back to the last run line), baseline = median of the
+/// rates of the other runs with the current run's cell count, pool capped
+/// at [`BASELINE_POOL`].
 fn evaluate(report: &str, text: &str, tol: f64) -> Option<Verdict> {
     let runs: Vec<RunRecord> = text.lines().filter_map(parse_run_line).collect();
     let header = header_threads(text);
-    let current = runs
+    let at = runs
         .iter()
-        .filter(|r| header.is_none_or(|t| r.threads == t))
-        .max_by_key(|r| r.cells)
-        .or(runs.last())
-        .copied()?;
+        .rposition(|r| header.is_none_or(|t| r.threads == t))
+        .unwrap_or(runs.len().checked_sub(1)?);
+    let current = runs[at];
     let pool: Vec<f64> = runs
         .iter()
-        .filter(|r| **r != current)
-        .filter_map(rate)
+        .enumerate()
+        .filter(|&(i, r)| i != at && r.cells == current.cells)
+        .filter_map(|(_, r)| rate(r))
         .collect();
     let pool = &pool[pool.len().saturating_sub(BASELINE_POOL)..];
     Some(Verdict {
@@ -270,27 +273,44 @@ mod tests {
   "runs": [
     { "threads": 1, "wall_ms": 10000.00, "cells": 400 },
     { "threads": 4, "wall_ms": 2000.00, "cells": 600 },
+    { "threads": 2, "wall_ms": 4000.00, "cells": 600 },
     { "threads": 1, "wall_ms": 7500.00, "cells": 600 }
   ]
 }"#;
 
     #[test]
-    fn evaluate_picks_current_by_header_threads_and_cells() {
+    fn evaluate_picks_current_by_header_threads_and_pools_same_cells() {
         let v = evaluate("BENCH_sim.json", REPORT, DEFAULT_TOL).expect("report gates");
-        // Current = the 1-thread 600-cell run (header says threads: 1),
-        // not the faster 4-thread sweep.
+        // Current = the last 1-thread run (header says threads: 1), not
+        // the faster multi-thread sweeps.
         assert_eq!(v.current.threads, 1);
         assert_eq!(v.current.cells, 600);
         assert!((v.rate - 80.0).abs() < 1e-9, "{}", v.rate);
-        // Pool = the other two runs: 40 and 300 cells/s, median 170.
+        // Pool = the other 600-cell runs: 300 and 150 cells/s, median 225.
+        // The 400-cell run measured another sweep and stays out.
         assert_eq!(v.pool, 2);
-        assert_eq!(v.baseline, Some(170.0));
-        // 80 < 170 * 0.8 = 136: a regression at the default band.
+        assert_eq!(v.baseline, Some(225.0));
+        // 80 < 225 * 0.8 = 180: a regression at the default band.
         assert!(!v.pass());
         assert!(v.floor().unwrap() > v.rate);
         // A wide enough band passes the same trajectory.
-        let wide = evaluate("BENCH_sim.json", REPORT, 0.6).unwrap();
+        let wide = evaluate("BENCH_sim.json", REPORT, 0.7).unwrap();
         assert!(wide.pass());
+    }
+
+    /// A sweep that shrinks: the newest run covers fewer cells than an
+    /// older one at the same thread count. The newest run is the one
+    /// gated, and the older, larger sweep is no baseline for it.
+    #[test]
+    fn evaluate_gates_the_newest_run_when_the_sweep_shrinks() {
+        let text = "{\n  \"threads\": 1,\n  \"runs\": [\n    \
+                    { \"threads\": 1, \"wall_ms\": 1000.00, \"cells\": 600 },\n    \
+                    { \"threads\": 1, \"wall_ms\": 10000.00, \"cells\": 400 }\n  ]\n}";
+        let v = evaluate("BENCH_sim.json", text, DEFAULT_TOL).expect("gates");
+        assert_eq!(v.current.cells, 400, "the newest run is current");
+        assert!((v.rate - 40.0).abs() < 1e-9, "{}", v.rate);
+        assert_eq!(v.pool, 0, "a 600-cell run is no baseline for 400 cells");
+        assert_eq!(v.baseline, None);
     }
 
     #[test]

@@ -111,8 +111,9 @@ fn drive(addr: std::net::SocketAddr, clients: usize, expected: &[(String, u64)])
     stats.into_inner().expect("stats lock poisoned")
 }
 
-/// Run lines carried over from the previous report; same-shaped runs
-/// (threads and cells both equal) are superseded by the current run.
+/// Run lines carried over from the previous report, in recording order;
+/// same-shaped runs (threads and cells both equal) are superseded by the
+/// current run, which the caller appends last.
 fn prior_runs(text: &str, current: &RunRecord) -> Vec<RunRecord> {
     let mut runs: Vec<RunRecord> = text.lines().filter_map(parse_run_line).collect();
     runs.retain(|r| (r.threads, r.cells) != (current.threads, current.cells));
@@ -261,7 +262,6 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     let path = results_dir().join("BENCH_serve.json");
     let mut runs = prior_runs(&std::fs::read_to_string(&path).unwrap_or_default(), &record);
     runs.push(record);
-    runs.sort_by_key(|r| (r.cells, r.threads));
 
     let json = render_json(&load, wall_ms, &snap, &runs);
     if let Err(e) =

@@ -1,16 +1,16 @@
-//! Simulator-throughput baseline: replays the workload corpus under three
-//! backends — decoded micro-op plans on the event-wheel scheduler (the
-//! production configuration), decoded plans on the legacy tick loop, and
-//! the reference interpreter — checks all three retire identical cycle
-//! counts, and records the throughputs plus speedup ratios in
+//! Simulator-throughput baseline: replays the workload corpus under two
+//! backends — decoded micro-op plans (the production configuration) and
+//! the reference interpreter — checks both retire identical cycle counts,
+//! and records the throughputs plus the speedup ratio in
 //! `results/BENCH_sim.json`.
 //!
 //! The report also keeps a `"runs"` trajectory: one schema-compatible run
 //! line (`{ threads, wall_ms, cells }`, the same line format as the
 //! `bench_<name>.json` harness reports) per distinct machine
 //! configuration, carried forward across regenerations so the file tracks
-//! throughput across PRs. A legacy schema-1 report contributes its decoded
-//! sweep as a synthesized baseline line.
+//! throughput across PRs. Lines stay in recording order, so the last line
+//! at a thread count is the newest. A legacy schema-1 report contributes
+//! its decoded sweep as a synthesized baseline line.
 //!
 //! Stdout carries only the deterministic part — per-workload simulated
 //! cycles and the agreement verdict — so the output stays byte-identical
@@ -25,34 +25,15 @@ use super::Outcome;
 use crate::runner::{parallel_map, parse_run_line, results_dir, threads, RunRecord};
 use crate::scale;
 use iwc_compaction::EngineId;
-use iwc_sim::{ExecBackend, GpuConfig, SchedMode, SimResult};
+use iwc_sim::{ExecBackend, GpuConfig, SimResult};
 use iwc_workloads::{catalog, Built};
 use std::time::Instant;
 
-/// One backend configuration of the three-way sweep.
-struct Backend {
-    /// Name used in the JSON report and stderr summary.
-    name: &'static str,
-    exec: ExecBackend,
-    sched: SchedMode,
-}
-
-const BACKENDS: [Backend; 3] = [
-    Backend {
-        name: "decoded+wheel",
-        exec: ExecBackend::Decoded,
-        sched: SchedMode::Wheel,
-    },
-    Backend {
-        name: "decoded",
-        exec: ExecBackend::Decoded,
-        sched: SchedMode::Tick,
-    },
-    Backend {
-        name: "reference",
-        exec: ExecBackend::Reference,
-        sched: SchedMode::Tick,
-    },
+/// One backend of the two-way sweep, by the name used in the JSON report
+/// and the stderr summary. The production backend comes first.
+const BACKENDS: [(&str, ExecBackend); 2] = [
+    ("decoded", ExecBackend::Decoded),
+    ("reference", ExecBackend::Reference),
 ];
 
 /// One backend's corpus replay: total simulated cycles (summed over every
@@ -64,7 +45,7 @@ struct Replay {
     wall_ms: f64,
 }
 
-fn replay(built: &[Built], backend: &Backend) -> Replay {
+fn replay(built: &[Built], exec: ExecBackend) -> Replay {
     let start = Instant::now();
     let cycles_by_workload = parallel_map(built, |b| {
         EngineId::CANONICAL
@@ -72,8 +53,7 @@ fn replay(built: &[Built], backend: &Backend) -> Replay {
             .map(|&engine| {
                 let cfg = GpuConfig::paper_default()
                     .with_compaction(engine)
-                    .with_exec(backend.exec)
-                    .with_sched(backend.sched);
+                    .with_exec(exec);
                 let (r, _img): (SimResult, _) = b
                     .run(&cfg)
                     .unwrap_or_else(|e| panic!("{} under {engine}: {e}", b.name));
@@ -110,7 +90,8 @@ fn speedup(fast: &Replay, slow: &Replay) -> f64 {
 /// Run lines carried over from the previous report, plus a baseline
 /// synthesized from a legacy schema-1 report's decoded sweep (whose line
 /// format predates the trajectory). Same-shaped runs (threads and cells
-/// both equal) are superseded by the current run.
+/// both equal) are superseded by the current run, which the caller appends
+/// last.
 fn prior_runs(text: &str, current: &RunRecord) -> Vec<RunRecord> {
     let mut runs: Vec<RunRecord> = text.lines().filter_map(parse_run_line).collect();
     if runs.is_empty() {
@@ -142,7 +123,7 @@ fn legacy_schema1_run(text: &str) -> Option<RunRecord> {
 }
 
 fn render_json(replays: &[Replay], workloads: usize, runs: &[RunRecord]) -> String {
-    let (wheel, decoded, reference) = (&replays[0], &replays[1], &replays[2]);
+    let (decoded, reference) = (&replays[0], &replays[1]);
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"name\": \"sim\",\n");
@@ -152,15 +133,15 @@ fn render_json(replays: &[Replay], workloads: usize, runs: &[RunRecord]) -> Stri
         "  \"corpus\": {{ \"workloads\": {workloads}, \"engines\": {}, \
          \"simulated_cycles\": {} }},\n",
         EngineId::CANONICAL.len(),
-        wheel.total_cycles
+        decoded.total_cycles
     ));
     out.push_str("  \"backends\": [\n");
-    for (i, (b, r)) in BACKENDS.iter().zip(replays).enumerate() {
+    for (i, ((name, _), r)) in BACKENDS.iter().zip(replays).enumerate() {
         let comma = if i + 1 < replays.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{ \"exec\": \"{}\", \"wall_ms\": {:.2}, \
              \"throughput_cycles_per_s\": {:.0} }}{comma}\n",
-            b.name,
+            name,
             r.wall_ms,
             throughput(r)
         ));
@@ -169,14 +150,6 @@ fn render_json(replays: &[Replay], workloads: usize, runs: &[RunRecord]) -> Stri
     out.push_str(&format!(
         "  \"speedup_decoded_vs_reference\": {:.2},\n",
         speedup(decoded, reference)
-    ));
-    out.push_str(&format!(
-        "  \"speedup_wheel_vs_decoded\": {:.2},\n",
-        speedup(wheel, decoded)
-    ));
-    out.push_str(&format!(
-        "  \"speedup_wheel_vs_reference\": {:.2},\n",
-        speedup(wheel, reference)
     ));
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
@@ -217,13 +190,14 @@ pub(crate) fn perf_floor() -> Option<f64> {
 }
 
 pub(crate) fn run(_args: &[String]) -> Outcome {
-    println!(
-        "== Simulator throughput: decoded+wheel vs decoded (tick) vs reference interpreter ==\n"
-    );
+    println!("== Simulator throughput: decoded vs reference interpreter ==\n");
     let entries = catalog();
     let built: Vec<Built> = entries.iter().map(|e| (e.build)(scale())).collect();
 
-    let replays: Vec<Replay> = BACKENDS.iter().map(|b| replay(&built, b)).collect();
+    let replays: Vec<Replay> = BACKENDS
+        .iter()
+        .map(|&(_, exec)| replay(&built, exec))
+        .collect();
 
     let mut agree = true;
     for (i, e) in entries.iter().enumerate() {
@@ -249,7 +223,6 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     let path = results_dir().join("BENCH_sim.json");
     let mut runs = prior_runs(&std::fs::read_to_string(&path).unwrap_or_default(), &record);
     runs.push(record);
-    runs.sort_by_key(|r| (r.cells, r.threads));
 
     let json = render_json(&replays, entries.len(), &runs);
     if let Err(e) =
@@ -257,18 +230,17 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
     {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
-    for (b, r) in BACKENDS.iter().zip(&replays) {
+    for ((name, _), r) in BACKENDS.iter().zip(&replays) {
         eprintln!(
             "[simbench] {:<14} {:>9.1} ms  ({:.2e} cyc/s)",
-            b.name,
+            name,
             r.wall_ms,
             throughput(r)
         );
     }
     eprintln!(
-        "[simbench] wheel vs decoded {:.2}x, decoded vs reference {:.2}x -> {}",
+        "[simbench] decoded vs reference {:.2}x -> {}",
         speedup(&replays[0], &replays[1]),
-        speedup(&replays[1], &replays[2]),
         path.display()
     );
 
@@ -276,7 +248,7 @@ pub(crate) fn run(_args: &[String]) -> Outcome {
         let got = throughput(&replays[0]);
         if got < floor {
             eprintln!(
-                "[simbench] FAIL: decoded+wheel throughput {got:.0} cyc/s is below \
+                "[simbench] FAIL: decoded throughput {got:.0} cyc/s is below \
                  IWC_PERF_FLOOR={floor:.0}"
             );
             return Outcome::fail();
@@ -356,7 +328,7 @@ mod tests {
 
     #[test]
     fn report_runs_stay_line_parseable() {
-        let replays: Vec<Replay> = (0..3)
+        let replays: Vec<Replay> = (0..2)
             .map(|i| Replay {
                 cycles_by_workload: vec![500, 500],
                 total_cycles: 1000,
@@ -372,9 +344,10 @@ mod tests {
         let parsed: Vec<RunRecord> = text.lines().filter_map(parse_run_line).collect();
         assert_eq!(parsed, runs);
         assert!(
-            text.contains("\"speedup_wheel_vs_decoded\": 2.00"),
+            text.contains("\"speedup_decoded_vs_reference\": 2.00"),
             "{text}"
         );
-        assert!(text.contains("\"exec\": \"decoded+wheel\""));
+        assert!(text.contains("\"exec\": \"decoded\""));
+        assert!(!text.contains("wheel"), "{text}");
     }
 }

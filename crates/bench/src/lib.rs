@@ -18,10 +18,9 @@
 //!
 //! Every experiment lives in the [`experiments`] registry and runs through
 //! the unified driver: `cargo run --release -p iwc-bench --bin iwc --
-//! <name>` (`iwc list` enumerates the registry). The per-experiment
-//! binaries (`fig10`, `table4`, …) remain as thin wrappers over the same
-//! registry path. The `IWC_SCALE` environment variable scales problem
-//! sizes (default 1) and `IWC_TRACE_LEN` the synthetic trace length.
+//! <name>` (`iwc list` enumerates the registry). The `IWC_SCALE`
+//! environment variable scales problem sizes (default 1) and
+//! `IWC_TRACE_LEN` the synthetic trace length.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

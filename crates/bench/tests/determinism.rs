@@ -1,8 +1,5 @@
-//! End-to-end determinism of the parallel harness: the figure/table
-//! binaries must emit byte-identical stdout regardless of `IWC_THREADS`,
-//! and the unified `iwc` driver must emit byte-identical stdout to every
-//! legacy per-experiment binary (they share one registry code path; this
-//! golden test keeps it that way).
+//! End-to-end determinism of the parallel harness: `iwc <experiment>`
+//! must emit byte-identical stdout regardless of `IWC_THREADS`.
 //!
 //! Harness bookkeeping (the `[bench] ...` line and `results/bench_*.json`)
 //! goes to stderr and the results directory only, so stdout is a pure
@@ -17,8 +14,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run(exe: &str, threads: &str, results: &PathBuf) -> Output {
-    let out = Command::new(exe)
+fn run(name: &str, threads: &str, results: &PathBuf) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_iwc"))
+        .arg(name)
         .env("IWC_THREADS", threads)
         .env("IWC_RESULTS_DIR", results)
         .env("IWC_TRACE_LEN", "2000")
@@ -26,27 +24,27 @@ fn run(exe: &str, threads: &str, results: &PathBuf) -> Output {
         .expect("spawn harness binary");
     assert!(
         out.status.success(),
-        "{exe} (IWC_THREADS={threads}) failed: {}",
+        "iwc {name} (IWC_THREADS={threads}) failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out
 }
 
-fn assert_stdout_thread_invariant(exe: &str, tag: &str) {
-    let dir = scratch_dir(tag);
-    let serial = run(exe, "1", &dir);
-    let parallel = run(exe, "8", &dir);
+fn assert_stdout_thread_invariant(name: &str) {
+    let dir = scratch_dir(name);
+    let serial = run(name, "1", &dir);
+    let parallel = run(name, "8", &dir);
     assert_eq!(
         String::from_utf8_lossy(&serial.stdout),
         String::from_utf8_lossy(&parallel.stdout),
-        "{exe} stdout must be byte-identical for IWC_THREADS=1 vs 8"
+        "iwc {name} stdout must be byte-identical for IWC_THREADS=1 vs 8"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn table2_stdout_is_thread_count_invariant() {
-    assert_stdout_thread_invariant(env!("CARGO_BIN_EXE_table2"), "table2");
+    assert_stdout_thread_invariant("table2");
 }
 
 /// The full Table 4 sweep (26 divergent workloads x 7 simulator runs, twice).
@@ -58,72 +56,7 @@ fn table2_stdout_is_thread_count_invariant() {
     ignore = "runs the full Table 4 sweep twice; use --release"
 )]
 fn table4_stdout_is_thread_count_invariant() {
-    assert_stdout_thread_invariant(env!("CARGO_BIN_EXE_table4"), "table4");
-}
-
-/// Runs the legacy binary `exe` and `iwc <name>` under identical knobs and
-/// asserts byte-identical stdout — the golden contract of the experiment
-/// registry refactor.
-fn assert_iwc_matches_legacy(name: &str, exe: &str) {
-    let dir = scratch_dir(&format!("iwc-{name}"));
-    let legacy = run(exe, "4", &dir);
-    let driver = {
-        let out = Command::new(env!("CARGO_BIN_EXE_iwc"))
-            .arg(name)
-            .env("IWC_THREADS", "4")
-            .env("IWC_RESULTS_DIR", &dir)
-            .env("IWC_TRACE_LEN", "2000")
-            .output()
-            .expect("spawn iwc driver");
-        assert!(
-            out.status.success(),
-            "iwc {name} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out
-    };
-    assert_eq!(
-        String::from_utf8_lossy(&legacy.stdout),
-        String::from_utf8_lossy(&driver.stdout),
-        "`iwc {name}` stdout must be byte-identical to the legacy `{name}` binary"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn iwc_fig8_matches_legacy_binary() {
-    assert_iwc_matches_legacy("fig8", env!("CARGO_BIN_EXE_fig8"));
-}
-
-#[test]
-fn iwc_rf_area_matches_legacy_binary() {
-    assert_iwc_matches_legacy("rf_area", env!("CARGO_BIN_EXE_rf_area"));
-}
-
-#[test]
-fn iwc_ablation_dtype_matches_legacy_binary() {
-    assert_iwc_matches_legacy("ablation_dtype", env!("CARGO_BIN_EXE_ablation_dtype"));
-}
-
-#[test]
-fn iwc_ablation_width_matches_legacy_binary() {
-    assert_iwc_matches_legacy("ablation_width", env!("CARGO_BIN_EXE_ablation_width"));
-}
-
-#[test]
-fn iwc_table2_matches_legacy_binary() {
-    assert_iwc_matches_legacy("table2", env!("CARGO_BIN_EXE_table2"));
-}
-
-/// Full Fig. 10 sweep (sim + trace corpus) twice — release-profile only,
-/// like the Table 4 thread-invariance test above.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "runs the full Fig. 10 sweep twice; use --release"
-)]
-fn iwc_fig10_matches_legacy_binary() {
-    assert_iwc_matches_legacy("fig10", env!("CARGO_BIN_EXE_fig10"));
+    assert_stdout_thread_invariant("table4");
 }
 
 /// Unknown experiment names fail with a nonzero exit and a hint, without

@@ -15,7 +15,7 @@
 
 use crate::cache::SessionCache;
 use iwc_compaction::{EngineId, EngineRegistry};
-use iwc_sim::{timeline, DecodedProgram, Gpu, GpuConfig, SchedMode};
+use iwc_sim::{timeline, DecodedProgram, Gpu, GpuConfig};
 use iwc_telemetry::json::{escape, parse, Json};
 use iwc_telemetry::TelemetrySnapshot;
 use iwc_trace::analyze::EngineReport;
@@ -60,8 +60,6 @@ pub struct ConfigOverrides {
     pub dc_bandwidth: Option<f64>,
     /// `with_perfect_l3`.
     pub perfect_l3: Option<bool>,
-    /// `with_sched`: `"wheel"` or `"tick"`.
-    pub sched: Option<SchedMode>,
 }
 
 impl ConfigOverrides {
@@ -75,9 +73,6 @@ impl ConfigOverrides {
         }
         if let Some(p) = self.perfect_l3 {
             cfg = cfg.with_perfect_l3(p);
-        }
-        if let Some(s) = self.sched {
-            cfg = cfg.with_sched(s);
         }
         cfg
     }
@@ -245,17 +240,6 @@ fn parse_overrides(cfg: Option<&Json>) -> Result<ConfigOverrides, JobError> {
                 ))
             }
         }
-    }
-    if let Some(s) = cfg.get("sched") {
-        out.sched = Some(match s.as_str() {
-            Some("wheel") => SchedMode::Wheel,
-            Some("tick") => SchedMode::Tick,
-            _ => {
-                return Err(JobError::BadRequest(
-                    "\"sched\" must be \"wheel\" or \"tick\"".into(),
-                ))
-            }
-        });
     }
     Ok(out)
 }
@@ -618,6 +602,7 @@ mod tests {
 
     #[test]
     fn parses_engines_scale_and_overrides() {
+        // `"sched"` is not a config key; like any unknown key it is ignored.
         let req = JobRequest::from_json(
             "{\"workload\":\"BFS\",\"engines\":[\"scc\",\"base\"],\"scale\":2,\
              \"config\":{\"issue_per_cycle\":2,\"perfect_l3\":true,\"sched\":\"tick\"}}",
@@ -627,7 +612,6 @@ mod tests {
         assert_eq!(req.scale, 2);
         assert_eq!(req.overrides.issue_per_cycle, Some(2));
         assert_eq!(req.overrides.perfect_l3, Some(true));
-        assert!(matches!(req.overrides.sched, Some(SchedMode::Tick)));
     }
 
     #[test]

@@ -101,89 +101,6 @@ impl ExecBackend {
     }
 }
 
-/// Which scheduler drives the simulation loop.
-///
-/// Both schedulers visit the same cycle sequence and charge the same stall
-/// cycles — the event wheel only skips the *re-arbitration* of EUs that are
-/// provably blocked until a known future cycle, so `SimResult`s are
-/// byte-identical (pinned by `crates/sim/tests/event_wheel.rs`). Like
-/// [`ExecBackend`], this knob only trades simulator wall-clock speed against
-/// auditability of the inner loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedMode {
-    /// Resolve from the `IWC_SCHED` environment variable (`"tick"` selects
-    /// the tick loop; anything else, or unset, selects the event wheel).
-    /// Read once per process.
-    #[default]
-    Auto,
-    /// Event-wheel scheduler ([`crate::wheel`]): blocked EUs sleep until
-    /// their exact wake-up cycle; the fast path.
-    Wheel,
-    /// The original loop that re-arbitrates every EU on every visited
-    /// cycle: the timing oracle.
-    Tick,
-}
-
-impl SchedMode {
-    /// Resolves `Auto` against the `IWC_SCHED` environment variable
-    /// (cached after the first read; explicit variants are returned
-    /// unchanged).
-    pub fn resolve(self) -> SchedMode {
-        use std::sync::OnceLock;
-        static FROM_ENV: OnceLock<SchedMode> = OnceLock::new();
-        match self {
-            SchedMode::Auto => {
-                *FROM_ENV.get_or_init(|| match std::env::var("IWC_SCHED").as_deref() {
-                    Ok("tick") => SchedMode::Tick,
-                    _ => SchedMode::Wheel,
-                })
-            }
-            explicit => explicit,
-        }
-    }
-}
-
-/// Convergent burst issue: when a fully-converged thread reaches a
-/// hazard-free straight-line span of ALU plans, the whole span issues
-/// back-to-back in one arbiter visit instead of one plan per visit.
-///
-/// Timing-neutral like [`ExecBackend`] and [`SchedMode`]: the burst path
-/// charges exactly the cycles, stalls, and tallies the per-plan path would
-/// — `crates/sim/tests/burst_equivalence.rs` pins byte-identical
-/// [`SimResult`](crate::SimResult)s over the whole catalog — so this knob
-/// only trades simulator wall-clock speed against auditability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BurstMode {
-    /// Resolve from the `IWC_BURST` environment variable (`"off"` disables
-    /// bursting; anything else, or unset, enables it). Read once per
-    /// process.
-    #[default]
-    Auto,
-    /// Burst whole convergent spans per arbiter visit: the fast path.
-    On,
-    /// Issue one plan per arbiter visit: the timing oracle.
-    Off,
-}
-
-impl BurstMode {
-    /// Resolves `Auto` against the `IWC_BURST` environment variable
-    /// (cached after the first read; explicit variants are returned
-    /// unchanged).
-    pub fn resolve(self) -> BurstMode {
-        use std::sync::OnceLock;
-        static FROM_ENV: OnceLock<BurstMode> = OnceLock::new();
-        match self {
-            BurstMode::Auto => {
-                *FROM_ENV.get_or_init(|| match std::env::var("IWC_BURST").as_deref() {
-                    Ok("off") => BurstMode::Off,
-                    _ => BurstMode::On,
-                })
-            }
-            explicit => explicit,
-        }
-    }
-}
-
 /// Full GPU configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
@@ -226,13 +143,6 @@ pub struct GpuConfig {
     /// Functional interpreter selection (timing-neutral; see
     /// [`ExecBackend`]).
     pub exec: ExecBackend,
-    /// Simulation-loop scheduler selection (timing-neutral; see
-    /// [`SchedMode`]).
-    #[serde(default)]
-    pub sched: SchedMode,
-    /// Convergent burst issue (timing-neutral; see [`BurstMode`]).
-    #[serde(default)]
-    pub burst: BurstMode,
     /// FPU pipeline depth (issue-to-writeback latency beyond occupancy).
     pub fpu_latency: u32,
     /// Extended-math pipeline depth.
@@ -259,8 +169,6 @@ impl GpuConfig {
             record_issue_log: false,
             profile_insns: false,
             exec: ExecBackend::Auto,
-            sched: SchedMode::Auto,
-            burst: BurstMode::Auto,
             // Issue-to-writeback depth beyond pipe occupancy. Gen EUs forward
             // results between dependent ALU ops, so the effective latency seen
             // by the scoreboard is short.
@@ -342,18 +250,6 @@ impl GpuConfig {
     /// Paper default with an explicit functional-interpreter backend.
     pub fn with_exec(mut self, exec: ExecBackend) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Paper default with an explicit simulation-loop scheduler.
-    pub fn with_sched(mut self, sched: SchedMode) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Paper default with an explicit convergent-burst mode.
-    pub fn with_burst(mut self, burst: BurstMode) -> Self {
-        self.burst = burst;
         self
     }
 

@@ -288,9 +288,9 @@ impl StallStats {
     /// Counts accumulated since `earlier` (a prior copy of this struct),
     /// with instruction-fetch waits folded into `stalled`: an I$ miss only
     /// charges `ifetch` on the arbitration pass that starts it; every later
-    /// pass over the same blocked thread counts as a fence wait. The event
-    /// wheel uses this as the per-skipped-pass delta when reconstructing
-    /// the legacy per-pass counters for a sleeping EU ([`crate::gpu`]).
+    /// pass over the same blocked thread counts as a fence wait. [`ArbMemo`]
+    /// stores a fully-blocked scan's counts in this form, as the delta each
+    /// replayed pass adds.
     pub(crate) fn steady_delta_since(&self, earlier: &StallStats) -> StallStats {
         StallStats {
             stalled: self.stalled - earlier.stalled + (self.ifetch - earlier.ifetch),
@@ -299,16 +299,6 @@ impl StallStats {
             pipe_busy: self.pipe_busy - earlier.pipe_busy,
             mem_drain: self.mem_drain - earlier.mem_drain,
         }
-    }
-
-    /// Adds `delta` scaled by `n` (one `delta` per skipped arbitration
-    /// pass).
-    pub(crate) fn add_scaled(&mut self, delta: &StallStats, n: u64) {
-        self.stalled += delta.stalled * n;
-        self.scoreboard += delta.scoreboard * n;
-        self.ifetch += delta.ifetch * n;
-        self.pipe_busy += delta.pipe_busy * n;
-        self.mem_drain += delta.mem_drain * n;
     }
 
     /// Merges another sample.
@@ -540,50 +530,6 @@ pub enum IssueOutcome {
     Barrier,
 }
 
-/// Issue schedule of a convergent burst, produced when the issue stage
-/// front-runs a whole hazard-free span in one arbiter visit (see
-/// [`Eu::arbitrate`]). The span's plans have already executed and charged
-/// their waves/tallies/scoreboard marks; what remains is replaying, at
-/// each later visited cycle, exactly the arbitration outcome the per-plan
-/// path would have produced — an issue at each scheduled time, a
-/// pipe-busy verdict in between. The scheduler loop does that replay
-/// without re-entering arbitration, so the EU's thread state (whose `pc`
-/// is already past the span) is never consulted early.
-#[derive(Clone, Debug)]
-pub struct BurstScript {
-    /// Issue cycles of the span's plans after the lead (strictly
-    /// increasing; the lead issued normally in the initiating visit).
-    times: Vec<u64>,
-    /// Next unreplayed entry.
-    at: usize,
-}
-
-impl BurstScript {
-    /// Scheduled issue cycle of the next unreplayed plan.
-    #[inline]
-    pub fn next_time(&self) -> u64 {
-        self.times[self.at]
-    }
-
-    /// Consumes one scheduled issue; true when the script is exhausted.
-    #[inline]
-    pub fn advance(&mut self) -> bool {
-        self.at += 1;
-        self.at == self.times.len()
-    }
-
-    /// Plans issued by the burst beyond the lead.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when the script holds no scheduled issues (never for scripts
-    /// produced by arbitration, which require a span of at least two).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-}
-
 /// Outcome of one [`Eu::arbitrate`] pass.
 #[derive(Clone, Debug)]
 pub struct ArbResult {
@@ -599,9 +545,6 @@ pub struct ArbResult {
     /// soonest-ready thread, else [`StallCause::Barrier`] if any thread is
     /// parked, else [`StallCause::Drained`]. `None` when something issued.
     pub blocked: Option<StallCause>,
-    /// Issue schedule of a convergent burst initiated by this pass, for
-    /// the scheduler loop to replay over the coming cycles.
-    pub burst: Option<BurstScript>,
 }
 
 /// One execution unit.
@@ -1061,8 +1004,6 @@ impl Eu {
         slm: &mut MemoryImage,
         barrier_arrivals: &mut Vec<usize>,
         recording: bool,
-        burst: bool,
-        burst_out: &mut Option<BurstScript>,
     ) -> IssueOutcome {
         let Self {
             id,
@@ -1114,11 +1055,8 @@ impl Eu {
 
         let pc = t.ctx.pc;
 
-        // Scoreboard. A thread whose every mark has expired is "clean" —
-        // the burst check below reuses that fact as its no-pending-
-        // writeback precondition.
-        let clean = t.busy_max <= now;
-        let (ready, dep_from_mem) = if clean {
+        // Scoreboard.
+        let (ready, dep_from_mem) = if t.busy_max <= now {
             (0, false) // every scoreboard mark already expired
         } else {
             t.deps_ready_at_plan(plan)
@@ -1205,70 +1143,6 @@ impl Eu {
                 let d = tally_memo.delta(mask, plan.dtype());
                 stats.compute_tally.add_delta(&d);
                 stats.simd_tally.add_delta(&d);
-
-                // Convergent burst: when this thread is the only resident
-                // one, fully converged, with no pending writeback, the
-                // whole hazard-free span starting here is already decided —
-                // the per-plan path could only replay scoreboard-clean
-                // issues separated by pipe-busy waits. Execute the span's
-                // remaining plans now, charge their waves, tallies, and
-                // scoreboard marks at their scheduled issue times, and hand
-                // the scheduler a script of those times to replay
-                // (timing-neutral; see [`crate::config::BurstMode`]).
-                if burst
-                    && !recording
-                    && clean
-                    && cfg.issue_per_cycle == 1
-                    && occupied.count_ones() == 1
-                    && mask.is_full()
-                    && plans.burst_span(pc) >= 2
-                    && engine.schedule(mask).is_none_or(|s| s.swizzle_count() == 0)
-                {
-                    let mut span = plans.burst_span(pc);
-                    // Clamp to the I$-resident prefix: a cold line would
-                    // stall the per-plan path mid-span (a hit leaves the
-                    // FIFO untouched, so residency here implies residency
-                    // at the scheduled issue time).
-                    if cfg.icache_miss_latency > 0 && cfg.icache_insns > 0 {
-                        let mut resident = 1;
-                        while resident < span
-                            && icache_set.get(pc + resident).is_some_and(|&r| r != 0)
-                        {
-                            resident += 1;
-                        }
-                        span = resident;
-                    }
-                    if span >= 2 {
-                        let mut times = Vec::with_capacity(span - 1);
-                        let mut t_issue = now;
-                        let mut prev_waves = waves;
-                        for _ in 1..span {
-                            let p = plans.plan(t.ctx.pc);
-                            let t_j = t_issue + prev_waves;
-                            let _e = execute_plan(&mut t.ctx, p, mask, img, slm, scratch);
-                            debug_assert!(matches!(_e, PlanEffect::Compute(_)));
-                            let mut w = u64::from(engine.cycles(mask, p.dtype()));
-                            if cfg.rf_timing == crate::config::RfTiming::MultiCycle {
-                                w += p.n_grf_operands();
-                            }
-                            *pipe_free = t_j + w;
-                            t.mark_range(p.dst_range(), t_j + w + u64::from(depth), false);
-                            match pipe {
-                                Pipe::Fpu => stats.fpu_waves += w,
-                                Pipe::Em => stats.em_waves += w,
-                                _ => {}
-                            }
-                            let d = tally_memo.delta(mask, p.dtype());
-                            stats.compute_tally.add_delta(&d);
-                            stats.simd_tally.add_delta(&d);
-                            stats.issued += 1;
-                            times.push(t_j);
-                            t_issue = t_j;
-                            prev_waves = w;
-                        }
-                        *burst_out = Some(BurstScript { times, at: 0 });
-                    }
-                }
             }
             PlanEffect::Memory { space, is_store } => {
                 stats.sends += 1;
@@ -1331,7 +1205,6 @@ impl Eu {
         img: &mut MemoryImage,
         slms: &mut [MemoryImage],
         barrier_arrivals: &mut Vec<usize>,
-        burst: bool,
     ) -> ArbResult {
         // Replay a still-valid fully-blocked verdict without touching any
         // slot: nothing this EU can observe has changed since the scan
@@ -1344,7 +1217,6 @@ impl Eu {
                     finished: Vec::new(),
                     hint: m.hint,
                     blocked: m.blocked,
-                    burst: None,
                 };
             }
         }
@@ -1359,7 +1231,6 @@ impl Eu {
         let mut saw_barrier = false;
         let mut stall_delta = StallStats::default();
         let recording = cfg.profile_insns || cfg.record_issue_log || cfg.capture_masks;
-        let mut burst_out: Option<BurstScript> = None;
         let mut next = self.arb_ptr;
         for _ in 0..n {
             if issued >= cfg.issue_per_cycle {
@@ -1402,8 +1273,6 @@ impl Eu {
                     slm,
                     barrier_arrivals,
                     recording,
-                    burst,
-                    &mut burst_out,
                 ),
                 None => self.try_issue(
                     i,
@@ -1468,8 +1337,7 @@ impl Eu {
                 valid_until: hint.unwrap_or(u64::MAX),
                 epoch: self.epoch,
                 // A repeated pass reports an I$ miss charged this pass as a
-                // plain fence wait — the same first-pass-only normalization
-                // the sleep path applies.
+                // plain fence wait (see `steady_delta_since`).
                 stalls_delta: stall_delta.steady_delta_since(&StallStats::default()),
                 hint,
                 blocked,
@@ -1482,7 +1350,6 @@ impl Eu {
             finished,
             hint,
             blocked,
-            burst: burst_out,
         }
     }
 }

@@ -1,12 +1,11 @@
 //! Multi-EU GPU: workgroup dispatch, barriers, and the simulation loop.
 
-use crate::config::{BurstMode, ExecBackend, GpuConfig, SchedMode};
-use crate::eu::{BurstScript, Eu, EuStats, HwThread, StallCause, StallSpan, StallStats};
+use crate::config::{ExecBackend, GpuConfig};
+use crate::eu::{Eu, EuStats, HwThread, StallCause, StallSpan};
 use crate::exec::ThreadCtx;
 use crate::memimg::MemoryImage;
 use crate::memsys::{MemStats, MemSystem};
 use crate::plan::DecodedProgram;
-use crate::wheel::{TimingWheel, WheelEvent};
 use iwc_compaction::{CompactionMode, CompactionTally, EngineId};
 use iwc_isa::mask::ExecMask;
 use iwc_isa::program::Program;
@@ -127,104 +126,11 @@ impl fmt::Display for SimResult {
     }
 }
 
-/// Traffic counters for the `sim/burst` telemetry group: how often the
-/// convergent-burst fast path engaged and how much arbitration it
-/// replaced. Like `sim/wheel`, the group is published only when a burst
-/// actually happened, so burst-off (and never-bursting) results stay
-/// byte-identical to pre-burst snapshots.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BurstStats {
-    /// Bursts initiated (hazard-free spans front-run in one visit).
-    pub spans: u64,
-    /// Plans issued through burst scripts, beyond each span's lead.
-    pub plans: u64,
-    /// Visited cycles answered from a script instead of arbitration.
-    pub scripted_cycles: u64,
-    /// Longest burst span in plans, including the lead.
-    pub max_span: u64,
-}
-
-impl BurstStats {
-    /// True when no burst happened — the `sim/burst` group is then left
-    /// out of snapshots.
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
-impl iwc_telemetry::Instrument for BurstStats {
-    fn publish(&self, prefix: &str, snap: &mut TelemetrySnapshot) {
-        let j = |name: &str| iwc_telemetry::join(prefix, name);
-        snap.set_counter(&j("spans"), self.spans);
-        snap.set_counter(&j("plans"), self.plans);
-        snap.set_counter(&j("scripted_cycles"), self.scripted_cycles);
-        snap.set_gauge(&j("max_span"), self.max_span as f64);
-    }
-}
-
 #[derive(Debug, Default)]
 struct WgState {
     resident: u32,
     done: u32,
     at_barrier: u32,
-}
-
-/// Bookkeeping for an EU the event-wheel scheduler has stopped
-/// re-arbitrating. A fully-blocked EU's arbitration passes after the first
-/// are pure — `arb_ptr` only advances on issue, every blocked thread's
-/// state is frozen until its own ready cycle, and the EU-level wake-up is
-/// the minimum of those — so everything the tick loop would have charged
-/// per visited cycle can be reconstructed exactly at wake-up from this
-/// record (see DESIGN.md §9).
-#[derive(Debug)]
-struct Asleep {
-    /// Generation tag matching this sleep's wheel entry; an entry with any
-    /// other tag is stale (the EU was woken early by a barrier release).
-    seq: u32,
-    /// First slept (not yet charged) cycle.
-    from_cycle: u64,
-    /// Loop iteration at which the EU went to sleep.
-    from_iter: u64,
-    /// Blocking cause charged for every slept cycle.
-    cause: StallCause,
-    /// Legacy per-pass stall counts one steady re-arbitration would add.
-    steady: StallStats,
-}
-
-#[derive(Debug)]
-enum EuState {
-    Awake,
-    Asleep(Asleep),
-}
-
-/// Applies everything the tick loop would have charged a sleeping EU over
-/// `[rec.from_cycle, wake_cycle)`: wall-clock cycles against the blocking
-/// cause (extending the open stall span over the jumped range, so trace
-/// exports still cover every cycle) and one steady per-pass stall sample
-/// per skipped arbitration pass.
-fn charge_sleep(eu: &mut Eu, rec: &Asleep, wake_cycle: u64, wake_iter: u64, record_log: bool) {
-    let slept = wake_cycle - rec.from_cycle;
-    if slept > 0 {
-        eu.stats.eu_cycles += slept;
-        eu.stats.stall_causes.charge(rec.cause, slept);
-        if record_log {
-            match eu.stats.stall_log.last_mut() {
-                Some(s) if s.cause == rec.cause && s.start + s.len == rec.from_cycle => {
-                    s.len += slept;
-                }
-                _ => eu.stats.stall_log.push(StallSpan {
-                    eu: eu.id,
-                    start: rec.from_cycle,
-                    len: slept,
-                    cause: rec.cause,
-                }),
-            }
-        }
-    }
-    let missed = wake_iter - rec.from_iter - 1;
-    if missed > 0 {
-        eu.stats.stalls.add_scaled(&rec.steady, missed);
-    }
 }
 
 /// Simulation failure.
@@ -429,11 +335,6 @@ pub fn simulate_decoded(
     Gpu::new(*cfg).run_decoded(launch, img, decoded)
 }
 
-/// One visited cycle's arbitration outcome for an awake EU: whether it
-/// issued, the cause blocking it if not, and the earliest cycle at which
-/// it could next make progress.
-type ArbOutcome = (bool, Option<StallCause>, Option<u64>);
-
 /// Charges the whole launch to the `"simulate"` phase of the current
 /// request span (a no-op outside the serve daemon) and delegates to
 /// [`run_launch_inner`]. Span timing is wall-clock side-band state only —
@@ -498,65 +399,18 @@ fn run_launch_inner(
     let mut wg_state: Vec<WgState> = (0..num_wgs).map(|_| WgState::default()).collect();
     let mut next_wg = 0usize;
     let mut now = start;
-    // Per-EU (issued-this-cycle, blocking cause, wake-up hint) for stall
-    // attribution and the sleep decision; `None` while the EU is asleep.
-    let mut per_eu: Vec<Option<ArbOutcome>> = Vec::with_capacity(eus.len());
+    // Per-EU (issued this cycle, blocking cause) for stall attribution.
+    let mut per_eu: Vec<(bool, Option<StallCause>)> = Vec::with_capacity(eus.len());
     let mut arrivals: Vec<usize> = Vec::new();
     // Workgroups whose barrier/retirement state changed this cycle — the
     // only candidates for a barrier release.
     let mut barrier_candidates: Vec<usize> = Vec::new();
 
-    // Event-wheel scheduler state. Both schedulers run this same loop and
-    // visit the same cycle sequence; with the wheel enabled, an EU whose
-    // next possible state change lies beyond the next visited cycle sleeps
-    // until a wheel event (or a barrier release) wakes it, instead of being
-    // re-arbitrated every visited cycle to rediscover that it is blocked.
-    let sleep_enabled = cfg.sched.resolve() == SchedMode::Wheel;
-    // Convergent-burst replay state: while a burst is in flight on an EU,
-    // its script stands in for arbitration — the thread's architectural
-    // state is already past the span, so consulting it early would issue
-    // post-span work ahead of schedule. Decoded backend only; the
-    // reference interpreter never bursts.
-    let burst_enabled = decoded.is_some() && cfg.burst.resolve() == BurstMode::On;
-    let mut scripts: Vec<Option<BurstScript>> = eus.iter().map(|_| None).collect();
-    let mut burst_stats = BurstStats::default();
-    let mut wheel = TimingWheel::new();
-    let mut states: Vec<EuState> = eus.iter().map(|_| EuState::Awake).collect();
-    let mut stalls_before: Vec<StallStats> = vec![StallStats::default(); eus.len()];
-    let mut barrier_woken: Vec<bool> = vec![false; eus.len()];
-    let mut due: Vec<WheelEvent> = Vec::new();
-    let mut seq = 0u32;
-    let mut iter = 0u64;
-
     loop {
-        // ---- wake-ups due at this cycle ----
-        if sleep_enabled && !wheel.is_empty() {
-            wheel.pop_due(now, &mut due);
-            for ev in due.drain(..) {
-                let idx = ev.payload as usize;
-                match &states[idx] {
-                    EuState::Asleep(rec) if rec.seq == ev.seq => wheel.note_fired(),
-                    _ => {
-                        wheel.note_stale();
-                        continue;
-                    }
-                }
-                if let EuState::Asleep(rec) = std::mem::replace(&mut states[idx], EuState::Awake) {
-                    charge_sleep(&mut eus[idx], &rec, now, iter, cfg.record_issue_log);
-                }
-            }
-        }
-
         // ---- dispatch pending workgroups ----
-        for (idx, eu) in eus.iter_mut().enumerate() {
+        for eu in &mut eus {
             if next_wg == num_wgs {
                 break;
-            }
-            if !matches!(states[idx], EuState::Awake) {
-                // A sleeping EU's free-slot count cannot change (threads
-                // only retire on issue), and it was undispatchable when it
-                // went to sleep.
-                continue;
             }
             while next_wg < num_wgs && eu.free_slots() >= wg_threads as usize {
                 let wg = next_wg;
@@ -571,42 +425,15 @@ fn run_launch_inner(
         }
 
         // ---- arbitration (one instruction per EU per cycle) ----
+        // A fully-blocked EU replays its cached verdict in O(1) (see
+        // `ArbMemo` in `crate::eu`), so visiting every EU every visited
+        // cycle stays cheap.
         let mut any_issued = false;
         let mut min_hint: Option<u64> = None;
         arrivals.clear();
         barrier_candidates.clear();
         per_eu.clear();
-        for (idx, eu) in eus.iter_mut().enumerate() {
-            if !matches!(states[idx], EuState::Awake) {
-                per_eu.push(None);
-                continue;
-            }
-            if sleep_enabled {
-                stalls_before[idx] = eu.stats.stalls;
-            }
-            // A burst in flight: replay the scripted arbitration outcome —
-            // an issue at each scheduled cycle, a pipe-busy verdict (with
-            // its per-pass stall event, like a real scan would charge) in
-            // between. Everything downstream — attribution, the sleep
-            // decision, wake-ups — consumes the outcome unchanged.
-            if let Some(script) = scripts[idx].as_mut() {
-                burst_stats.scripted_cycles += 1;
-                let at = script.next_time();
-                debug_assert!(now <= at, "scheduler visited past a scripted issue");
-                let outcome: ArbOutcome = if now == at {
-                    if script.advance() {
-                        scripts[idx] = None;
-                    }
-                    any_issued = true;
-                    (true, None, None)
-                } else {
-                    eu.stats.stalls.pipe_busy += 1;
-                    min_hint = Some(min_hint.map_or(at, |m| m.min(at)));
-                    (false, Some(StallCause::PipeBusy), Some(at))
-                };
-                per_eu.push(Some(outcome));
-                continue;
-            }
+        for eu in &mut eus {
             let arb = eu.arbitrate(
                 now,
                 cfg,
@@ -617,7 +444,6 @@ fn run_launch_inner(
                 img,
                 &mut slms,
                 &mut arrivals,
-                burst_enabled,
             );
             if arb.issued > 0 {
                 any_issued = true;
@@ -629,13 +455,7 @@ fn run_launch_inner(
             if let Some(h) = arb.hint {
                 min_hint = Some(min_hint.map_or(h, |m| m.min(h)));
             }
-            if let Some(script) = arb.burst {
-                burst_stats.spans += 1;
-                burst_stats.plans += script.len() as u64;
-                burst_stats.max_span = burst_stats.max_span.max(script.len() as u64 + 1);
-                scripts[idx] = Some(script);
-            }
-            per_eu.push(Some((arb.issued > 0, arb.blocked, arb.hint)));
+            per_eu.push((arb.issued > 0, arb.blocked));
         }
 
         // ---- barrier bookkeeping ----
@@ -651,7 +471,7 @@ fn run_launch_inner(
             let st = &mut wg_state[wg];
             if st.at_barrier > 0 && st.at_barrier + st.done == st.resident {
                 st.at_barrier = 0;
-                for (idx, eu) in eus.iter_mut().enumerate() {
+                for eu in &mut eus {
                     let mut woke = false;
                     for t in eu.slots.iter_mut().flatten() {
                         if t.wg == wg && t.at_barrier {
@@ -660,76 +480,32 @@ fn run_launch_inner(
                         }
                     }
                     if woke {
-                        barrier_woken[idx] = true;
                         eu.note_threads_changed();
                     }
                 }
                 released = true;
             }
         }
-        if released {
-            // A release is the one wake-up that does not come through the
-            // wheel: sleeping EUs whose threads were just freed must be
-            // re-arbitrated at `now + 1` like the tick loop would. A timed
-            // wake-up such an EU may still have in the wheel is stale from
-            // here on and is discarded on contact (its `seq` won't match).
-            for (idx, eu) in eus.iter_mut().enumerate() {
-                if !barrier_woken[idx] {
-                    continue;
-                }
-                barrier_woken[idx] = false;
-                if let EuState::Asleep(rec) = std::mem::replace(&mut states[idx], EuState::Awake) {
-                    charge_sleep(eu, &rec, now + 1, iter + 1, cfg.record_issue_log);
-                }
-            }
-        }
 
         // ---- completion / time advance ----
         if next_wg == num_wgs && eus.iter().all(Eu::is_idle) {
-            // Only drained (idle) EUs can still be asleep here; settle their
-            // lump charges through the final visited cycle. The tick loop
-            // never charges this iteration, so neither does the catch-up.
-            for (idx, eu) in eus.iter_mut().enumerate() {
-                if let EuState::Asleep(rec) = std::mem::replace(&mut states[idx], EuState::Awake) {
-                    debug_assert_eq!(rec.cause, StallCause::Drained);
-                    charge_sleep(eu, &rec, now, iter + 1, cfg.record_issue_log);
-                }
-            }
             break;
         }
         let delta = if any_issued || released {
             1
         } else {
-            // Sleeping EUs are represented by their wheel entries; the
-            // earliest valid one bounds the jump exactly as those EUs'
-            // hints would have under the tick loop.
-            let wheel_next = if sleep_enabled {
-                wheel.earliest(|ev| {
-                    matches!(&states[ev.payload as usize], EuState::Asleep(r) if r.seq == ev.seq)
-                })
-            } else {
-                None
-            };
-            let next = match (min_hint, wheel_next) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            match next {
+            // Nothing can change before the soonest blocked thread becomes
+            // ready, so jump straight to it.
+            match min_hint {
                 Some(h) => (now + 1).max(h) - now,
                 None => return Err(SimulateError::Deadlock { at: now }),
             }
         };
-        if sleep_enabled && delta > 1 {
-            wheel.stats.cycles_skipped += delta - 1;
-        }
         // Stall attribution: every EU sees every launch cycle; a cycle (or
-        // event-driven span of cycles) with no issue is charged to exactly
-        // one cause per EU. Jumps only happen when no EU issued, so the
-        // whole span carries the pre-jump blocking cause.
-        for (idx, eu) in eus.iter_mut().enumerate() {
-            let Some((issued, blocked, hint)) = per_eu[idx] else {
-                continue; // asleep: charged in one lump at wake-up
-            };
+        // jumped span of cycles) with no issue is charged to exactly one
+        // cause per EU. Jumps only happen when no EU issued, so the whole
+        // span carries the pre-jump blocking cause.
+        for (eu, &(issued, blocked)) in eus.iter_mut().zip(&per_eu) {
             eu.stats.eu_cycles += delta;
             if issued {
                 eu.stats.issue_cycles += 1;
@@ -749,36 +525,12 @@ fn run_launch_inner(
                         }),
                     }
                 }
-                // Sleep decision: with no issue this cycle and the earliest
-                // possible state change strictly beyond the next visited
-                // cycle (or, with no hint, unknowable until a barrier
-                // release or the run draining), re-arbitrating the EU
-                // before then would only rediscover the same blocked state.
-                if sleep_enabled {
-                    match hint {
-                        Some(h) if h <= now + delta => {} // ready next visited cycle
-                        _ => {
-                            seq = seq.wrapping_add(1);
-                            if let Some(h) = hint {
-                                wheel.schedule(now, h, idx as u32, seq);
-                            }
-                            states[idx] = EuState::Asleep(Asleep {
-                                seq,
-                                from_cycle: now + delta,
-                                from_iter: iter,
-                                cause,
-                                steady: eu.stats.stalls.steady_delta_since(&stalls_before[idx]),
-                            });
-                        }
-                    }
-                }
             }
         }
         now += delta;
         if now - start > MAX_CYCLES {
             return Err(SimulateError::CycleLimit(now - start));
         }
-        iter += 1;
     }
     *clock = now;
 
@@ -816,18 +568,6 @@ fn run_launch_inner(
     telemetry.set_counter("sim/cycles", now - start);
     telemetry.publish("eu", &agg);
     telemetry.publish("mem", &mem_delta);
-    // The `sim/wheel` group appears only when the event wheel actually saw
-    // traffic — tick-mode results (and trivial runs) stay byte-identical to
-    // pre-wheel snapshots.
-    if !wheel.stats.is_empty() {
-        telemetry.publish("sim/wheel", &wheel.stats);
-    }
-    // Likewise `sim/burst`: published only when a burst engaged, so
-    // burst-off results are byte-identical to burst-capable ones that
-    // never found a span.
-    if !burst_stats.is_empty() {
-        telemetry.publish("sim/burst", &burst_stats);
-    }
     Ok(SimResult {
         cycles: now - start,
         eu: agg,

@@ -9,12 +9,15 @@
 //! as a failed equality, not a subtle drift in published figures.
 //!
 //! The always-on tests cover a representative slice plus directed kernels
-//! for each dtype fast path (F, D, and a generic-fallback dtype); the full
-//! catalog × engine grid is release-gated like the other suite sweeps.
+//! for each dtype fast path (F, D, and a generic-fallback dtype) and for
+//! the simulation loop's event-ordering edge cases (several EUs unblocking
+//! on one cycle, a thread ready on the very next cycle, a barrier release
+//! racing memory completions); the full catalog × engine grid is
+//! release-gated like the other suite sweeps.
 
 use iwc_compaction::EngineId;
 use iwc_isa::{DataType, KernelBuilder, MemSpace, Operand};
-use iwc_sim::{simulate, BurstMode, ExecBackend, GpuConfig, Launch, MemoryImage};
+use iwc_sim::{simulate, ExecBackend, GpuConfig, Launch, MemoryImage};
 use iwc_workloads::{catalog, Built};
 
 fn assert_images_equal(a: &MemoryImage, b: &MemoryImage, ctx: &str) {
@@ -38,12 +41,8 @@ fn assert_images_equal(a: &MemoryImage, b: &MemoryImage, ctx: &str) {
 }
 
 /// Runs `built` under both backends with otherwise identical configs and
-/// asserts result + memory equivalence. Convergent bursts are pinned off:
-/// only the decoded backend can burst (and would then publish the
-/// `sim/burst` telemetry group the reference run lacks); burst-on-vs-off
-/// identity has its own differential suite (`burst_equivalence.rs`).
+/// asserts result + memory equivalence.
 fn assert_backends_equivalent(built: &Built, cfg: &GpuConfig, ctx: &str) {
-    let cfg = cfg.with_burst(BurstMode::Off);
     let (decoded, img_decoded) = built
         .run(&cfg.with_exec(ExecBackend::Decoded))
         .unwrap_or_else(|e| panic!("{ctx}: decoded run failed: {e}"));
@@ -114,28 +113,27 @@ fn decoded_matches_reference_with_recording_enabled() {
     assert_backends_equivalent(&built, &cfg, "Bsearch with recording");
 }
 
+/// Runs `launch` from `init` under both backends and asserts result +
+/// memory equivalence.
+fn assert_launch_equivalent(launch: &Launch, cfg: &GpuConfig, init: &MemoryImage, ctx: &str) {
+    let run = |exec: ExecBackend| {
+        let mut img = init.clone();
+        let r = simulate(&cfg.with_exec(exec), launch, &mut img)
+            .unwrap_or_else(|e| panic!("{ctx}: {exec:?} run failed: {e}"));
+        (r, img)
+    };
+    let (decoded, img_decoded) = run(ExecBackend::Decoded);
+    let (reference, img_reference) = run(ExecBackend::Reference);
+    assert_eq!(decoded, reference, "{ctx}: SimResult diverged");
+    assert_images_equal(&img_decoded, &img_reference, ctx);
+}
+
 /// Directed kernel per dtype path, run under both backends: F and D take
 /// the specialized raw-byte loops, Uw falls back to the generic lane loop.
 fn run_both(program: iwc_isa::Program, global: u32, wg: u32, args: &[u32], init: &MemoryImage) {
     let name = program.name().to_string();
     let launch = Launch::new(program, global, wg).with_args(args);
-    let mut img_decoded = init.clone();
-    let mut img_reference = init.clone();
-    let cfg = GpuConfig::paper_default().with_burst(BurstMode::Off);
-    let decoded = simulate(
-        &cfg.with_exec(ExecBackend::Decoded),
-        &launch,
-        &mut img_decoded,
-    )
-    .expect("decoded run");
-    let reference = simulate(
-        &cfg.with_exec(ExecBackend::Reference),
-        &launch,
-        &mut img_reference,
-    )
-    .expect("reference run");
-    assert_eq!(decoded, reference, "{name}: SimResult diverged");
-    assert_images_equal(&img_decoded, &img_reference, &name);
+    assert_launch_equivalent(&launch, &GpuConfig::paper_default(), init, &name);
 }
 
 #[test]
@@ -229,4 +227,110 @@ fn directed_generic_fallback_uw() {
     );
     b.store(MemSpace::Global, Operand::rud(10), Operand::rud(14));
     run_both(b.finish().unwrap(), n, 8, &[out], &img);
+}
+
+/// A load-then-compute kernel on `wgs` full-EU workgroups (6 threads of
+/// SIMD16 each, so consecutive workgroups land on distinct EUs): every EU
+/// blocks on memory, and the shared data cluster staggers the completion
+/// times — including distinct EUs whose completions land on the same cycle.
+fn load_compute_kernel(wgs: u32, stride: u32) -> (Launch, MemoryImage) {
+    let n = wgs * 96; // 6 SIMD16 threads per workgroup
+    let mut img = MemoryImage::new(1 << 22);
+    let src: Vec<u32> = (0..n * stride.max(1)).map(|i| i * 3 + 7).collect();
+    let a = img.alloc_u32(&src);
+    let out = img.alloc(n * 4);
+
+    let mut b = KernelBuilder::new("load_compute", 16);
+    let addr = Operand::rud(10);
+    let x = Operand::rud(12);
+    // addr = a + 4 * stride * gid  (stride spreads accesses over lines)
+    b.mul(addr, Operand::rud(1), Operand::imm_ud(4 * stride.max(1)));
+    b.add(addr, addr, Operand::scalar(3, 0, DataType::Ud));
+    b.load(MemSpace::Global, x, addr);
+    b.mul(x, x, Operand::imm_ud(5));
+    b.add(x, x, Operand::imm_ud(1));
+    b.mad(
+        addr,
+        Operand::rud(1),
+        Operand::imm_ud(4),
+        Operand::scalar(3, 1, DataType::Ud),
+    );
+    b.store(MemSpace::Global, addr, x);
+    let launch = Launch::new(b.finish().unwrap(), n, 96).with_args(&[a, out]);
+    (launch, img)
+}
+
+/// Two (and more) EUs blocked on identical memory latencies become ready
+/// on the same cycle; arbitration proceeds in EU-id order.
+#[test]
+fn directed_simultaneous_wakes() {
+    for wgs in [2u32, 6] {
+        let (launch, img) = load_compute_kernel(wgs, 16);
+        let cfg = GpuConfig::paper_default().with_issue_log(true);
+        assert_launch_equivalent(&launch, &cfg, &img, &format!("simultaneous x{wgs}"));
+    }
+}
+
+/// Short-latency dependent ALU chains produce wake-up hints that land on
+/// the very next visited cycle.
+#[test]
+fn directed_next_cycle_wakes() {
+    let n = 64u32;
+    let mut img = MemoryImage::new(1 << 16);
+    let out = img.alloc(n * 4);
+
+    let mut b = KernelBuilder::new("next_cycle_chain", 16);
+    let x = Operand::rf(12);
+    b.mov(x, Operand::imm_f(1.5));
+    // Each op depends on the previous: the FPU-latency hints are always
+    // `now + small`.
+    for _ in 0..6 {
+        b.mad(x, x, x, Operand::imm_f(0.25));
+    }
+    b.math(iwc_isa::Opcode::Rsqrt, Operand::rf(14), x);
+    b.add(x, x, Operand::rf(14));
+    b.mad(
+        Operand::rud(10),
+        Operand::rud(1),
+        Operand::imm_ud(4),
+        Operand::scalar(3, 0, DataType::Ud),
+    );
+    b.store(MemSpace::Global, Operand::rud(10), x);
+    let launch = Launch::new(b.finish().unwrap(), n, 16).with_args(&[out]);
+    let cfg = GpuConfig::paper_default().with_issue_log(true);
+    assert_launch_equivalent(&launch, &cfg, &img, "dependent chain");
+}
+
+/// Barrier release racing memory completions: inside each workgroup one
+/// divergently-slow load delays the barrier arrival, while other EUs wait
+/// on their own timed completions. Swept over strides so the release cycle
+/// slides across (and collides with) the memory completions.
+#[test]
+fn directed_barrier_release_races_memory_completion() {
+    for stride in [1u32, 4, 16, 64] {
+        let n = 4 * 32u32; // 4 workgroups of 2 threads (SIMD16)
+        let mut img = MemoryImage::new(1 << 18);
+        let src: Vec<u32> = (0..n * stride).map(|i| i ^ 0x2A).collect();
+        let a = img.alloc_u32(&src);
+        let out = img.alloc(n * 4);
+
+        let mut b = KernelBuilder::new("barrier_race", 16);
+        let addr = Operand::rud(10);
+        let x = Operand::rud(12);
+        b.mul(addr, Operand::rud(1), Operand::imm_ud(4 * stride));
+        b.add(addr, addr, Operand::scalar(3, 0, DataType::Ud));
+        b.load(MemSpace::Global, x, addr);
+        b.barrier();
+        b.add(x, x, Operand::imm_ud(9));
+        b.mad(
+            addr,
+            Operand::rud(1),
+            Operand::imm_ud(4),
+            Operand::scalar(3, 1, DataType::Ud),
+        );
+        b.store(MemSpace::Global, addr, x);
+        let launch = Launch::new(b.finish().unwrap(), n, 32).with_args(&[a, out]);
+        let cfg = GpuConfig::paper_default().with_issue_log(true);
+        assert_launch_equivalent(&launch, &cfg, &img, &format!("barrier race s={stride}"));
+    }
 }

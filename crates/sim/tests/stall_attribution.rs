@@ -221,3 +221,51 @@ fn attribution_exhaustive_across_modes() {
         assert!(r.eu.stall_causes.total() > 0, "{mode}: some cycles stall");
     }
 }
+
+/// Stall spans (the interval log trace export reads) tile every
+/// non-issuing EU cycle, including the spans the simulation loop jumps
+/// over when no EU can issue: per EU, spans are non-empty, disjoint, in
+/// order, within the run, and their lengths sum to the non-issue cycles.
+#[test]
+fn stall_spans_tile_every_non_issue_cycle() {
+    // A memory-bound kernel on every EU: each lane loads its own line.
+    let mut b = KernelBuilder::new("spans", 16);
+    b.shl(Operand::rud(6), Operand::rud(1), Operand::imm_ud(8));
+    b.load(MemSpace::Global, Operand::rud(8), Operand::rud(6));
+    b.add(Operand::rud(8), Operand::rud(8), Operand::imm_ud(1));
+    b.store(MemSpace::Global, Operand::rud(6), Operand::rud(8));
+    let cfg = GpuConfig::paper_default().with_issue_log(true);
+    let r = run(b.finish().unwrap(), &cfg, 6 * 96, 96);
+    assert_exhaustive(&r, &cfg);
+    assert!(
+        r.eu.stall_causes.mem_latency > 0,
+        "run must be memory-bound"
+    );
+    let eus = cfg.eus as usize;
+    let mut covered = vec![0u64; eus];
+    let mut last_end = vec![0u64; eus];
+    for s in &r.eu.stall_log {
+        let i = s.eu as usize;
+        assert!(s.len >= 1, "empty span on EU {i}");
+        assert!(
+            s.start >= last_end[i],
+            "EU {i}: span at {} overlaps previous ending at {}",
+            s.start,
+            last_end[i]
+        );
+        assert!(
+            s.start + s.len <= r.cycles,
+            "EU {i}: span [{}, {}) exceeds run length {}",
+            s.start,
+            s.start + s.len,
+            r.cycles
+        );
+        last_end[i] = s.start + s.len;
+        covered[i] += s.len;
+    }
+    assert_eq!(
+        covered.iter().sum::<u64>(),
+        r.eu.eu_cycles - r.eu.issue_cycles,
+        "stall spans must tile every non-issuing EU cycle"
+    );
+}

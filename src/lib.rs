@@ -20,7 +20,7 @@
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-versus-measured results. The `iwc-bench`
 //! crate regenerates every table and figure:
-//! `cargo run --release -p iwc-bench --bin fig10`.
+//! `cargo run --release -p iwc-bench --bin iwc -- fig10`.
 //!
 //! # Examples
 //!
