@@ -655,8 +655,9 @@ impl EngineTally {
         self.add_run(mask, dtype, 1);
     }
 
-    /// Accounts a run of `n` identical `(mask, dtype)` instructions in one
-    /// pass over the engine set — every field is an integer sum, so the
+    /// Accounts `n` instructions of one `(mask, dtype)` key in one pass
+    /// over the engine set — the trace analyzer charges each distinct key
+    /// of a mask histogram this way. Every field is an integer sum, so the
     /// multiplicative charge is exactly equal to `n` repeated
     /// [`add`](Self::add) calls.
     pub fn add_run(&mut self, mask: ExecMask, dtype: DataType, n: u64) {

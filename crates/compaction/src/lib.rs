@@ -54,4 +54,4 @@ pub use interwarp::{compact_masks, evaluate_group, CompactedGroup, InterWarpStat
 pub use microop::{expand, Expansion, MicroOp, RegHalf};
 pub use rf::{RfModel, RfOrganization};
 pub use scc::{CrossbarControl, LaneSlot, QuadSwizzle, SccCost, SccSchedule, MAX_SCC_CYCLES};
-pub use tally::{CompactionTally, TallyDelta, TallyMemo, UtilBucket};
+pub use tally::{CompactionTally, KeyCost, TallyDelta, TallyMemo, UtilBucket};

@@ -10,6 +10,7 @@ use iwc_isa::mask::ExecMask;
 use iwc_isa::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// SIMD utilization bucket of one instruction (Fig. 9 categories).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -114,28 +115,21 @@ impl CompactionTally {
         self.add_delta(&TallyDelta::of(mask, dtype));
     }
 
-    /// Adds a run of `n` identical `(mask, dtype)` instructions in O(1).
-    ///
-    /// Divergence arrives in runs — loop bodies re-present the same mask
-    /// for thousands of records — and every tally field is an integer sum,
-    /// so charging the precomputed per-instruction contribution `n` times
-    /// multiplicatively is *exactly* equal to `n` repeated
-    /// [`add`](Self::add) calls, not merely close.
-    pub fn add_run(&mut self, mask: ExecMask, dtype: DataType, n: u64) {
-        self.add_delta_scaled(&TallyDelta::of(mask, dtype), n);
-    }
-
-    /// Adds `n` repetitions of a precomputed contribution in O(1) — the
-    /// run-length counterpart of [`add_delta`](Self::add_delta), identical
-    /// to applying the delta `n` times.
-    pub fn add_delta_scaled(&mut self, d: &TallyDelta, n: u64) {
-        self.cycles.accumulate_scaled(d.cycles, n);
+    /// Adds `n` instructions of one `(mask, dtype)` key from its packed
+    /// cost in O(1). Every tally field is an integer sum, so the result is
+    /// *exactly* `n` repeated [`add`](Self::add) calls — the charge step of
+    /// the trace analyzer's mask histogram.
+    pub fn add_cost(&mut self, c: KeyCost, n: u64) {
+        self.cycles.baseline += c.field(KeyCost::BASELINE) * n;
+        self.cycles.ivb += c.field(KeyCost::IVB) * n;
+        self.cycles.bcc += c.field(KeyCost::BCC) * n;
+        self.cycles.scc += c.field(KeyCost::SCC) * n;
         self.instructions += n;
-        self.active_channels += d.active_channels * n;
-        self.total_channels += d.total_channels * n;
-        self.buckets[d.bucket] += n;
-        self.bcc_fetches_saved += d.bcc_fetches_saved * n;
-        self.scc_swizzles += d.scc_swizzles * n;
+        self.active_channels += c.field(KeyCost::ACTIVE) * n;
+        self.total_channels += c.field(KeyCost::TOTAL) * n;
+        self.buckets[c.field(KeyCost::BUCKET) as usize] += n;
+        self.bcc_fetches_saved += c.field(KeyCost::FETCHES_SAVED) * n;
+        self.scc_swizzles += c.field(KeyCost::SWIZZLES) * n;
     }
 
     /// Adds one executed instruction from its precomputed contribution.
@@ -236,21 +230,17 @@ impl TallyDelta {
     }
 }
 
-/// Direct-mapped memo over [`TallyDelta::of`].
+/// Direct-mapped memo over [`TallyDelta::of`] for the simulator's issue
+/// path.
 ///
 /// The memo is transparent: `delta` always returns exactly
-/// [`TallyDelta::of`]`(mask, dtype)`, whatever the way count and whatever
-/// was cached before, so sizing and reuse are pure performance choices.
-/// Collisions just recompute. Two sizes matter in practice:
-///
-/// * the [`Default`] memo ([`TallyMemo::DEFAULT_WAYS`]) — an EU's issue
-///   path interleaves a handful of threads whose masks repeat, so a few
-///   ways keep all of them resident at negligible footprint;
-/// * the analyzer memo ([`TallyMemo::ANALYZER_WAYS`]) — divergence traces
-///   carry thousands of *distinct* masks (the expanded corpus peaks past
-///   20k per trace), which thrashes a small memo into recomputing the
-///   four cycle models and the SCC swizzle cost nearly every run. Sized
-///   to the full SIMD16 mask space, misses are collisions only.
+/// [`TallyDelta::of`]`(mask, dtype)`, whatever was cached before, so reuse
+/// is a pure performance choice. Collisions just recompute. An EU's issue
+/// path interleaves a handful of threads whose masks repeat, so
+/// [`TallyMemo::DEFAULT_WAYS`] ways keep all of them resident at
+/// negligible footprint. Whole-trace analysis, with thousands of distinct
+/// masks per trace, charges packed [`KeyCost`]s from the trace crate's
+/// mask histogram instead.
 #[derive(Clone, Debug)]
 pub struct TallyMemo {
     /// Right-shift applied to the 32-bit Fibonacci product: keeps the top
@@ -267,17 +257,14 @@ impl Default for TallyMemo {
 }
 
 impl TallyMemo {
-    /// Way count of the [`Default`] memo, sized for issue paths tracking
-    /// a few resident threads.
+    /// Way count of the memo, sized for issue paths tracking a few
+    /// resident threads.
     pub const DEFAULT_WAYS: usize = 64;
-    /// Way count for whole-trace analysis: one way per SIMD16 mask bit
-    /// pattern (~5 MiB of deltas), so working sets of tens of thousands
-    /// of distinct masks stay resident.
-    pub const ANALYZER_WAYS: usize = 1 << 16;
 
     /// A memo with `ways` slots, rounded up to a power of two (minimum 2,
-    /// keeping the hash shift below the u32 width).
-    pub fn with_ways(ways: usize) -> Self {
+    /// keeping the hash shift below the u32 width). Tests force
+    /// collisions with tiny sizes.
+    fn with_ways(ways: usize) -> Self {
         let ways = ways.next_power_of_two().max(2);
         Self {
             shift: 32 - ways.trailing_zeros(),
@@ -299,6 +286,55 @@ impl TallyMemo {
             self.keys[way] = Some(key);
         }
         self.deltas[way]
+    }
+}
+
+/// [`TallyDelta`] packed into 8 bytes: the four cycle counts, active and
+/// total channels, BCC fetches saved, SCC swizzles and the Fig. 9 bucket
+/// of one `(mask, dtype)` instruction, six bits each. Every field of an
+/// instruction up to SIMD32 fits (none exceeds 32). A cost is never zero —
+/// the total-channel field is the SIMD width, at least 1 — so an
+/// `Option<KeyCost>` is 8 bytes too, which keeps lazily filled cost
+/// tables compact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyCost(NonZeroU64);
+
+impl KeyCost {
+    const FIELD_BITS: u32 = 6;
+    const BASELINE: u32 = 0;
+    const IVB: u32 = 1;
+    const BCC: u32 = 2;
+    const SCC: u32 = 3;
+    const ACTIVE: u32 = 4;
+    const TOTAL: u32 = 5;
+    const FETCHES_SAVED: u32 = 6;
+    const SWIZZLES: u32 = 7;
+    const BUCKET: u32 = 8;
+
+    /// The packed contribution of one `(mask, dtype)` instruction.
+    pub fn of(mask: ExecMask, dtype: DataType) -> Self {
+        let d = TallyDelta::of(mask, dtype);
+        let fields = [
+            d.cycles.baseline,
+            d.cycles.ivb,
+            d.cycles.bcc,
+            d.cycles.scc,
+            d.active_channels,
+            d.total_channels,
+            d.bcc_fetches_saved,
+            d.scc_swizzles,
+            d.bucket as u64,
+        ];
+        let mut packed = 0;
+        for (i, f) in (0u32..).zip(fields) {
+            assert!(f >> Self::FIELD_BITS == 0, "cost field {i} = {f} overflows");
+            packed |= f << (i * Self::FIELD_BITS);
+        }
+        Self(NonZeroU64::new(packed).expect("total channels is at least 1"))
+    }
+
+    fn field(self, i: u32) -> u64 {
+        self.0.get() >> (i * Self::FIELD_BITS) & ((1 << Self::FIELD_BITS) - 1)
     }
 }
 
@@ -423,31 +459,46 @@ mod tests {
     }
 
     #[test]
-    fn add_run_equals_repeated_adds() {
-        for bits in [0xFFFFu32, 0xF0F0, 0xAAAA, 0x0001, 0x0000] {
-            let m = ExecMask::new(bits, 16);
-            for dtype in [DataType::F, DataType::Df, DataType::Uw] {
-                let mut runs = CompactionTally::new();
-                runs.add_run(m, dtype, 7);
+    fn add_cost_equals_repeated_adds() {
+        let masks = [
+            ExecMask::new(0xFFFF, 16),
+            ExecMask::new(0xF0F0, 16),
+            ExecMask::new(0xAAAA, 16),
+            ExecMask::new(0x0001, 16),
+            ExecMask::none(16),
+            ExecMask::new(0x0F, 8),
+            ExecMask::none(8),
+            ExecMask::new(0b1010, 4),
+            ExecMask::all(1),
+            ExecMask::none(1),
+            ExecMask::all(32),
+            ExecMask::new(0x8000_0001, 32),
+            ExecMask::none(32),
+        ];
+        for m in masks {
+            for dtype in DataType::ALL {
+                let cost = KeyCost::of(m, dtype);
+                let mut charged = CompactionTally::new();
+                charged.add_cost(cost, 7);
                 let mut scalar = CompactionTally::new();
                 for _ in 0..7 {
                     scalar.add(m, dtype);
                 }
-                assert_eq!(runs, scalar, "mask {bits:#06x} {dtype:?}");
+                assert_eq!(charged, scalar, "{m:?} {dtype:?}");
+                let mut zero = CompactionTally::new();
+                zero.add_cost(cost, 0);
+                assert_eq!(zero, CompactionTally::new(), "zero count is a no-op");
             }
         }
-        let mut zero = CompactionTally::new();
-        zero.add_run(ExecMask::all(16), DataType::F, 0);
-        assert_eq!(zero, CompactionTally::new(), "zero-length run is a no-op");
     }
 
     #[test]
     fn memo_is_transparent_at_any_size_and_state() {
-        // Stream a working set far past the small memo's way count
-        // through memos of several sizes (including the pathological
-        // 2-way one) twice over, comparing every delta against a direct
+        // Stream a working set far past the way count through the memo
+        // and through collision-forcing tiny ones (down to 2 ways) twice
+        // over, comparing every delta against a direct
         // recompute by applying both to tallies.
-        for ways in [1, 2, 64, TallyMemo::ANALYZER_WAYS] {
+        for ways in [1, 2, TallyMemo::DEFAULT_WAYS] {
             let mut memo = TallyMemo::with_ways(ways);
             for pass in 0..2 {
                 for i in 0..1000u32 {

@@ -36,6 +36,21 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// Every data type, in declaration order: `ALL[d as usize] == d`.
+    pub const ALL: [DataType; 11] = [
+        Self::Ub,
+        Self::B,
+        Self::Uw,
+        Self::W,
+        Self::Hf,
+        Self::Ud,
+        Self::D,
+        Self::F,
+        Self::Uq,
+        Self::Q,
+        Self::Df,
+    ];
+
     /// Size of one element in bytes.
     pub fn size_bytes(self) -> u32 {
         match self {
@@ -174,6 +189,13 @@ impl From<u32> for Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_is_in_declaration_order() {
+        for (i, d) in DataType::ALL.into_iter().enumerate() {
+            assert_eq!(d as usize, i, "{d:?}");
+        }
+    }
 
     #[test]
     fn sizes() {

@@ -6,12 +6,12 @@
 //! the trace — the same arithmetic the simulator applies online.
 
 use crate::format::{Trace, TraceIoError};
+use crate::hist::MaskHistogram;
 use crate::pack::CorpusPack;
-use crate::source::{for_each_run, SliceSource, TraceSource};
-use iwc_compaction::{
-    CompactionMode, CompactionTally, EngineId, EngineTally, TallyMemo, UtilBucket,
-};
+use crate::source::{SliceSource, TraceSource};
+use iwc_compaction::{CompactionMode, CompactionTally, EngineId, EngineTally, UtilBucket};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::path::Path;
 
 /// Analysis result of one trace.
@@ -21,12 +21,18 @@ pub struct TraceReport {
     pub name: String,
     /// Full compaction accounting.
     pub tally: CompactionTally,
-    /// Number of maximal `(mask, dtype)` runs the record stream folded
-    /// into — `instructions / runs` is the mean run length, the direct
-    /// predictor of how much the run-length fast path saves. Reports
-    /// serialized before this field existed deserialize to 0.
+    /// Number of maximal runs of identical records — `instructions /
+    /// runs` is the mean run length, which decides what the run-length
+    /// pack encoding saves. Reports serialized before this field existed
+    /// deserialize to 0.
     #[serde(default)]
     pub runs: u64,
+    /// Distinct `(mask, width, dtype)` keys the mask histogram charged:
+    /// the per-trace work of the charge step (see
+    /// [`crate::hist::FoldStats::keys`]). Reports serialized before this
+    /// field existed deserialize to 0.
+    #[serde(default)]
+    pub keys: u64,
 }
 
 impl TraceReport {
@@ -68,43 +74,40 @@ impl TraceReport {
     }
 }
 
+thread_local! {
+    /// Per-thread histogram, reused across traces: every fold leaves it
+    /// empty, and the costs it keeps never change.
+    static SCRATCH: RefCell<MaskHistogram> = RefCell::default();
+}
+
 /// Analyzes a streaming source chunk by chunk — the core entry point;
-/// peak memory is O(chunk) whatever the trace length.
+/// peak memory is bounded whatever the trace length.
 ///
-/// Records are folded into maximal `(mask, dtype)` runs first
-/// ([`for_each_run`]) and each run is charged multiplicatively through a
-/// [`TallyMemo`], so the four cycle models and the SCC swizzle cost are
-/// evaluated once per *distinct mask in the working set* instead of once
-/// per record. Every tally field is an integer sum, so the result is
-/// exactly equal to the per-record accounting — the scalar path survives
-/// as [`CompactionTally::add`] and the differential tests pin the
-/// equivalence.
+/// The stream folds into a [`MaskHistogram`], and each distinct
+/// `(mask, dtype)` key is charged once as count × its packed
+/// [`KeyCost`](iwc_compaction::KeyCost), so per-record work is one counter
+/// increment and the four cycle models and the SCC swizzle cost are
+/// evaluated once per distinct SIMD8/SIMD16 key per thread. Every tally field is an integer sum, so the
+/// result is exactly equal to per-record accounting — the scalar path
+/// survives as [`CompactionTally::add`] and the differential tests pin
+/// the equivalence.
 ///
 /// # Errors
 ///
 /// Propagates stream failures (unreadable or malformed sources).
 pub fn analyze_source(src: &mut dyn TraceSource) -> Result<TraceReport, TraceIoError> {
-    // Divergence traces carry tens of thousands of distinct masks with a
-    // mean run length near 1 on the synthetic corpus, so the memo — not
-    // the run fold — decides whether the cycle models are evaluated per
-    // run or per distinct mask. One analyzer-sized memo per thread,
-    // reused across traces: keys are (mask, dtype) alone, so cross-trace
-    // reuse is sound (the memo is transparent by contract), and the
-    // ~6 MiB table is paid once per worker instead of zeroed per trace.
-    thread_local! {
-        static MEMO: std::cell::RefCell<TallyMemo> =
-            std::cell::RefCell::new(TallyMemo::with_ways(TallyMemo::ANALYZER_WAYS));
-    }
     let name = src.name().to_owned();
     let mut tally = CompactionTally::new();
-    let runs = MEMO.with(|memo| {
-        let memo = &mut *memo.borrow_mut();
-        for_each_run(src, |r, n| {
-            let d = memo.delta(r.mask(), r.dtype);
-            tally.add_delta_scaled(&d, n);
-        })
+    let stats = SCRATCH.with(|hist| {
+        hist.borrow_mut()
+            .fold_costs(src, |cost, n| tally.add_cost(cost, n))
     })?;
-    Ok(TraceReport { name, tally, runs })
+    Ok(TraceReport {
+        name,
+        tally,
+        runs: stats.runs,
+        keys: stats.keys,
+    })
 }
 
 /// Analyzes a materialized trace (adapter over [`analyze_source`]).
@@ -124,7 +127,9 @@ pub struct EngineReport {
     pub tally: EngineTally,
 }
 
-/// Analyzes a streaming source under the given engines, chunk by chunk.
+/// Analyzes a streaming source under the given engines, chunk by chunk:
+/// the same histogram fold as [`analyze_source`], with each distinct key
+/// charged once per engine.
 ///
 /// # Errors
 ///
@@ -135,8 +140,9 @@ pub fn analyze_source_engines(
 ) -> Result<EngineReport, TraceIoError> {
     let name = src.name().to_owned();
     let mut tally = EngineTally::new(ids);
-    for_each_run(src, |r, n| {
-        tally.add_run(r.mask(), r.dtype, n);
+    SCRATCH.with(|hist| {
+        hist.borrow_mut()
+            .fold(src, |mask, dtype, n| tally.add_run(mask, dtype, n))
     })?;
     Ok(EngineReport { name, tally })
 }
@@ -327,18 +333,21 @@ where
 pub fn corpus_snapshot(reports: &[TraceReport]) -> iwc_telemetry::TelemetrySnapshot {
     let mut total = CompactionTally::new();
     let mut runs = 0u64;
+    let mut keys = 0u64;
     for r in reports {
         total.merge(&r.tally);
         runs += r.runs;
+        keys += r.keys;
     }
     let mut snap = iwc_telemetry::TelemetrySnapshot::new();
     snap.set_counter("corpus/traces", reports.len() as u64);
     snap.publish("corpus", &total);
-    // Run-length coherence of the analyzed streams: records / runs is the
-    // mean run length, i.e. how much the multiplicative tally fast path
-    // collapsed the per-record work.
+    // Run-length coherence of the analyzed streams (records / runs is the
+    // mean run length), and the histogram's charge work: one charge per
+    // distinct key of each trace.
     snap.set_counter("trace/rle/runs", runs);
     snap.set_counter("trace/rle/records", total.instructions);
+    snap.set_counter("trace/hist/keys", keys);
     snap
 }
 
@@ -391,27 +400,51 @@ mod tests {
         assert_eq!(snap.counter("trace/rle/runs"), Some(runs));
         assert_eq!(snap.counter("trace/rle/records"), Some(total));
         assert!(runs > 0 && runs <= total, "runs partition the records");
+        let keys: u64 = reports.iter().map(|r| r.keys).sum();
+        assert_eq!(snap.counter("trace/hist/keys"), Some(keys));
+        assert!(
+            keys > 0 && keys <= runs,
+            "every key starts at least one run"
+        );
+    }
+
+    /// Per-record reference: scalar tallies, runs from comparing each
+    /// record with the one before, and the distinct-key count.
+    fn scalar_reference(
+        src: &mut dyn TraceSource,
+        ids: &[EngineId],
+    ) -> (CompactionTally, EngineTally, u64, u64) {
+        let mut tally = CompactionTally::new();
+        let mut engines = EngineTally::new(ids);
+        let mut runs = 0u64;
+        let mut prev = None;
+        let mut keys = std::collections::HashSet::new();
+        while let Some(chunk) = src.next_chunk().unwrap() {
+            for r in chunk {
+                tally.add(r.mask(), r.dtype);
+                engines.add(r.mask(), r.dtype);
+                runs += u64::from(prev != Some(*r));
+                prev = Some(*r);
+                keys.insert((r.mask(), r.dtype));
+            }
+        }
+        (tally, engines, runs, keys.len() as u64)
     }
 
     #[test]
-    fn run_length_analysis_matches_scalar_reference() {
-        // The run-length fast path must be value-identical to per-record
-        // accounting on every corpus profile — the whole point of the
-        // multiplicative charge is that it is exact, not approximate.
-        let profiles = crate::synth::corpus();
-        for p in &profiles {
+    fn histogram_analysis_matches_scalar_reference() {
+        // The histogram charge must be value-identical to per-record
+        // accounting on every profile of the expanded corpus — the point
+        // of charging count × cost is that it is exact, not approximate.
+        let ids = EngineId::CANONICAL;
+        for p in &crate::synth::expanded_corpus(crate::synth::DEFAULT_EXPANDED_TRACES) {
             let fast = analyze_source(&mut p.source(300)).unwrap();
-            let mut scalar = CompactionTally::new();
-            let mut records = 0u64;
-            let mut src = p.source(300);
-            while let Some(chunk) = src.next_chunk().unwrap() {
-                for r in chunk {
-                    scalar.add(r.mask(), r.dtype);
-                    records += 1;
-                }
-            }
-            assert_eq!(fast.tally, scalar, "{}", p.name);
-            assert_eq!(fast.tally.instructions, records, "{}", p.name);
+            let engines = analyze_source_engines(&mut p.source(300), &ids).unwrap();
+            let (tally, engine_tally, runs, keys) = scalar_reference(&mut p.source(300), &ids);
+            assert_eq!(fast.tally, tally, "{}", p.name);
+            assert_eq!(engines.tally, engine_tally, "{}", p.name);
+            assert_eq!((fast.runs, fast.keys), (runs, keys), "{}", p.name);
+            assert_eq!(fast.tally.instructions, 300, "{}", p.name);
         }
     }
 

@@ -9,6 +9,8 @@
 //!   is O(chunk) whatever the corpus size;
 //! * [`mod@hash`] — canonical FNV-1a content hashing of record streams
 //!   (pack index entries and cache keys both derive from it);
+//! * [`mod@hist`] — the mask histogram every analyzer folds a stream
+//!   into: one count per distinct `(mask, width, dtype)` key;
 //! * [`mod@pack`] — the `.iwcc` corpus pack container: many traces in one
 //!   content-indexed file with sequential chunked reads and random access;
 //! * [`mod@store`] — the corpus directory layout (`IWC_CORPUS_DIR`) and
@@ -40,6 +42,7 @@
 pub mod analyze;
 pub mod format;
 pub mod hash;
+pub mod hist;
 pub mod pack;
 pub mod source;
 pub mod store;
@@ -52,6 +55,7 @@ pub use analyze::{
 };
 pub use format::{Trace, TraceIoError, TraceRecord};
 pub use hash::trace_hash;
+pub use hist::{FoldStats, MaskHistogram};
 pub use pack::{CorpusPack, PackEntry, PackWriter};
 pub use source::{for_each_run, SliceSource, TraceSource, CHUNK_RECORDS};
 pub use store::{cache_max_bytes, corpus_dir, ResultsCache};

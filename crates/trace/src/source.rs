@@ -99,13 +99,12 @@ impl TraceSource for SliceSource<'_> {
 /// Folds a source into maximal runs of identical records, invoking
 /// `f(record, count)` once per run and returning the number of runs.
 ///
-/// Divergence arrives in runs — a loop body re-presents the same
-/// `(mask, dtype)` for thousands of consecutive records — and every tally
-/// is an integer sum, so downstream analyzers charge each run
-/// multiplicatively in O(1) instead of per record. Runs span chunk
-/// boundaries: a run that straddles `next_chunk` calls is reported once,
-/// with its full count, so the grouping is a pure function of the record
-/// stream and independent of [`CHUNK_RECORDS`].
+/// The run structure is what the run-length pack encoding compresses, and
+/// `iwc pack info` reports it; the analyzers fold streams into a
+/// [`crate::hist::MaskHistogram`] instead, which counts the same runs.
+/// Runs span chunk boundaries: a run that straddles `next_chunk` calls is
+/// reported once, with its full count, so the grouping is a pure function
+/// of the record stream and independent of [`CHUNK_RECORDS`].
 ///
 /// # Errors
 ///

@@ -1,22 +1,65 @@
-//! RLE-vs-plain differential goldens for the `.iwcc` pack format.
+//! RLE-vs-plain and histogram-vs-scalar differential goldens for the
+//! `.iwcc` pack format and the trace analyzer.
 //!
 //! The run-length payload encoding is a pure compression: for the same
 //! traces, an RLE pack and a plain pack must stream byte-identical
-//! records, carry identical per-trace and whole-pack content hashes, and
-//! produce equal analysis reports at any shard count — on the full
+//! records and carry identical per-trace and whole-pack content hashes.
+//! The analyzer's mask histogram is a pure regrouping: on either pack, at
+//! any shard count, every report must equal per-record scalar accounting
+//! (`CompactionTally::add`, `EngineTally::add`), with the run and
+//! distinct-key counts of the record stream. Both hold on the full
 //! 600-trace expanded corpus and on adversarial streams built to stress
-//! the codec (runs straddling chunk boundaries, pure run-length-1
-//! alternation, one trace-sized run).
+//! the codec and the histogram (runs straddling chunk boundaries, pure
+//! run-length-1 alternation, one trace-sized run, every dtype at every
+//! wire width, all-zero masks).
 
-use iwc_compaction::EngineId;
+use iwc_compaction::{CompactionTally, EngineId, EngineTally};
 use iwc_isa::{DataType, ExecMask};
 use iwc_trace::pack::{write_pack_file, write_pack_file_rle, CorpusPack};
 use iwc_trace::synth::DEFAULT_EXPANDED_TRACES;
 use iwc_trace::{
-    analyze_pack_file, analyze_pack_file_engines, expanded_corpus, Trace, TraceRecord,
-    CHUNK_RECORDS,
+    analyze, analyze_engines, analyze_pack_file, analyze_pack_file_engines, expanded_corpus, Trace,
+    TraceRecord, TraceReport, CHUNK_RECORDS,
 };
+use std::collections::HashSet;
 use std::path::PathBuf;
+
+/// Per-record reference analysis of one trace: scalar tallies, runs from
+/// comparing each record with the one before, and the distinct keys.
+struct Scalar {
+    name: String,
+    tally: CompactionTally,
+    engines: EngineTally,
+    runs: u64,
+    keys: u64,
+}
+
+fn scalar(t: &Trace) -> Scalar {
+    let mut tally = CompactionTally::new();
+    let mut engines = EngineTally::new(&EngineId::CANONICAL);
+    let mut runs = 0;
+    let mut keys = HashSet::new();
+    for (i, r) in t.records.iter().enumerate() {
+        tally.add(r.mask(), r.dtype);
+        engines.add(r.mask(), r.dtype);
+        runs += u64::from(i == 0 || t.records[i - 1] != *r);
+        keys.insert((r.mask(), r.dtype));
+    }
+    Scalar {
+        name: t.name.clone(),
+        tally,
+        engines,
+        runs,
+        keys: keys.len() as u64,
+    }
+}
+
+fn assert_matches_scalar(report: &TraceReport, want: &Scalar, ctx: &str) {
+    assert_eq!(report.name, want.name, "{ctx}: name");
+    assert_eq!(report.tally, want.tally, "{ctx}/{}: tally", report.name);
+    assert_eq!(report.runs, want.runs, "{ctx}/{}: runs", report.name);
+    assert_eq!(report.keys, want.keys, "{ctx}/{}: keys", report.name);
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("iwc-rle-eq-{tag}-{}.iwcc", std::process::id()))
@@ -55,16 +98,25 @@ fn assert_rle_equivalent(traces: &[Trace], tag: &str) {
         );
     }
 
-    // Analysis (which consumes the streams run-by-run) cannot tell the
-    // encodings apart, at any shard count.
-    let on_plain = analyze_pack_file_engines(&plain_path, 2, &EngineId::CANONICAL).unwrap();
-    let on_rle = analyze_pack_file_engines(&rle_path, 2, &EngineId::CANONICAL).unwrap();
-    assert_eq!(on_plain, on_rle, "{tag}: analysis reports diverged");
-    assert_eq!(
-        analyze_pack_file(&rle_path, 1).unwrap(),
-        analyze_pack_file(&rle_path, 4).unwrap(),
-        "{tag}: RLE pack analysis is shard-invariant"
-    );
+    // Analysis equals per-record accounting on either encoding, at any
+    // shard count.
+    let want: Vec<Scalar> = traces.iter().map(scalar).collect();
+    for (path, encoding) in [(&plain_path, "plain"), (&rle_path, "rle")] {
+        for threads in [1, 2, 4] {
+            let ctx = format!("{tag}/{encoding}/{threads} threads");
+            let reports = analyze_pack_file(path, threads).unwrap();
+            assert_eq!(reports.len(), want.len(), "{ctx}");
+            for (r, w) in reports.iter().zip(&want) {
+                assert_matches_scalar(r, w, &ctx);
+            }
+        }
+        let engines = analyze_pack_file_engines(path, 2, &EngineId::CANONICAL).unwrap();
+        assert_eq!(engines.len(), want.len(), "{tag}/{encoding}: engines");
+        for (r, w) in engines.iter().zip(&want) {
+            assert_eq!(r.name, w.name, "{tag}/{encoding}: engines name");
+            assert_eq!(r.tally, w.engines, "{tag}/{encoding}/{}: engines", r.name);
+        }
+    }
 
     let _ = std::fs::remove_file(&plain_path);
     let _ = std::fs::remove_file(&rle_path);
@@ -133,6 +185,75 @@ fn rle_matches_plain_on_adversarial_streams() {
         records: vec![lane(1)],
     };
 
-    let traces = vec![straddle, alternating, giant, empty, one];
+    let traces = vec![
+        straddle,
+        alternating,
+        giant,
+        empty,
+        one,
+        every_key(),
+        all_zero(),
+    ];
     assert_rle_equivalent(&traces, "adversarial");
+}
+
+/// Every dtype at every wire width — widths 1, 4 and 32 take the
+/// histogram's sparse path — with full, partial and all-zero masks, in
+/// runs of one, two and three records.
+fn every_key() -> Trace {
+    let mut t = Trace::new("every-key");
+    for (i, d) in (0u32..).zip(DataType::ALL) {
+        for width in [1, 4, 8, 16, 32] {
+            let partial = 0x9E37_79B9u32.rotate_left(i + width);
+            for (n, mask) in [
+                ExecMask::all(width),
+                ExecMask::new(partial, width),
+                ExecMask::none(width),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for _ in 0..=n {
+                    t.push(mask, d);
+                }
+            }
+        }
+    }
+    t
+}
+
+/// All-zero masks only: every one still takes a cycle and lands in the
+/// "other" bucket.
+fn all_zero() -> Trace {
+    let mut t = Trace::new("all-zero");
+    for width in [16, 8, 32, 16] {
+        for _ in 0..CHUNK_RECORDS / 2 + 1 {
+            t.push(ExecMask::none(width), DataType::F);
+        }
+    }
+    t
+}
+
+#[test]
+fn back_to_back_traces_share_no_state() {
+    // One thread analyses traces whose keys overlap with different
+    // counts and dtypes, and then the first one again: a histogram count
+    // or cost entry left over from one trace would show in the next.
+    let a = every_key();
+    let mut b = Trace::new("b");
+    for (i, r) in a.records.iter().enumerate() {
+        let dtype = DataType::ALL[(r.dtype as usize + i) % DataType::ALL.len()];
+        b.push(r.mask(), dtype);
+        b.push(r.mask(), r.dtype);
+    }
+    for t in [&a, &b, &a, &all_zero(), &b] {
+        let want = scalar(t);
+        assert_matches_scalar(&analyze(t), &want, "back-to-back");
+        assert_eq!(
+            analyze_engines(t, &EngineId::CANONICAL).tally,
+            want.engines,
+            "back-to-back/{}: engines",
+            t.name
+        );
+    }
 }
