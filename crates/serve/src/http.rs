@@ -215,8 +215,11 @@ impl RequestParser {
         if self.buf.len() < total {
             return Ok(None);
         }
-        let body = self.buf[head_end + 4..total].to_vec();
-        self.buf.drain(..total);
+        // The buffer becomes the body: only a pipelined remainder is
+        // copied out, and the head is dropped in place.
+        let rest = self.buf.split_off(total);
+        let mut body = std::mem::replace(&mut self.buf, rest);
+        body.drain(..head_end + 4);
         let headers = headers.into_iter().collect();
         Ok(Some(Request {
             method,
@@ -432,6 +435,57 @@ mod tests {
         let r = p.next_request().expect("parses").expect("complete");
         assert_eq!(r.body, b"abcd");
         assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn body_is_the_same_whether_alone_pipelined_or_trickled() {
+        let body: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut one = format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        one.extend_from_slice(&body);
+
+        // Exactly one request buffered.
+        let (reqs, err) = feed_all(&one);
+        assert_eq!(err, None);
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].body, body);
+
+        // A pipelined request behind the body still parses.
+        let mut two = one.clone();
+        two.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let (reqs, err) = feed_all(&two);
+        assert_eq!(err, None);
+        assert_eq!(reqs.len(), 2);
+        assert_eq!(reqs[0].body, body);
+        assert_eq!(reqs[1].path, "/healthz");
+
+        // One byte at a time: nothing surfaces until the last byte.
+        let mut p = RequestParser::default();
+        for (i, b) in one.iter().enumerate() {
+            p.feed(std::slice::from_ref(b));
+            let got = p.next_request().expect("parses");
+            if i + 1 < one.len() {
+                assert_eq!(got, None, "complete after {} of {} bytes", i + 1, one.len());
+            } else {
+                assert_eq!(got.expect("complete").body, body);
+            }
+        }
+        assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn body_declared_at_the_limit_waits_for_its_bytes() {
+        let mut p = RequestParser::default();
+        p.feed(
+            format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {DEFAULT_MAX_BODY}\r\n\r\n")
+                .as_bytes(),
+        );
+        p.feed(b"0123456789");
+        assert_eq!(p.next_request(), Ok(None));
+        assert_eq!(p.next_request(), Ok(None), "asking again changes nothing");
     }
 
     #[test]

@@ -116,9 +116,10 @@ impl JobRequest {
     /// field combinations and [`JobError::NotFound`] for unknown engine
     /// labels.
     pub fn from_json(body: &str) -> Result<Self, JobError> {
-        let v = parse(body).map_err(|e| JobError::BadRequest(format!("invalid JSON: {e}")))?;
+        let mut v = parse(body).map_err(|e| JobError::BadRequest(format!("invalid JSON: {e}")))?;
         let workload = v.get("workload").and_then(Json::as_str).map(String::from);
-        let trace = v.get("trace").and_then(Json::as_str).map(String::from);
+        // The trace payload is the bulk of an upload: move it, don't copy.
+        let trace = v.take_str("trace");
         let pack = v.get("pack").and_then(Json::as_str).map(String::from);
         match [&workload, &trace, &pack]
             .iter()
@@ -689,6 +690,18 @@ mod tests {
         assert!(resp.contains("\"engine\":\"ivb\",\"cycles\":8"), "{resp}");
         assert!(resp.contains("\"engine\":\"bcc\",\"cycles\":6"), "{resp}");
         assert!(resp.contains("\"kind\":\"trace\""));
+    }
+
+    #[test]
+    fn large_trace_payload_parses_unchanged() {
+        let bytes: Vec<u8> = (0..300_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let payload = crate::ws::base64(&bytes);
+        assert!(payload.len() >= 400_000 && payload.contains(['+', '/']));
+        let req = JobRequest::from_json(&format!("{{\"trace\":\"{payload}\"}}")).expect("parses");
+        assert_eq!(req.trace.as_deref(), Some(payload.as_str()));
+        assert_eq!(req.workload, None);
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //!
 //! ```text
 //!  accept loop ──► connection threads ──try_send──► bounded job queue
-//!   (non-blocking,    (HTTP/1.1 parse,   │ Full → 503 + Retry-After
-//!    polls drain       keep-alive,       ▼
+//!   (poll(2) ≤ 25 ms, (HTTP/1.1 parse,   │ Full → 503 + Retry-After
+//!    re-checks drain   keep-alive,       ▼
 //!    flag + SIGTERM)   WS upgrade)    N sim workers (decode cache shared)
 //! ```
+//!
+//! The accept loop waits in `poll(2)` on the listener, so a connection
+//! is accepted as soon as it arrives, and spawns one thread per
+//! connection.
 //!
 //! Draining (`POST /shutdown` or SIGTERM) stops the accept loop, lets
 //! every in-flight job finish, closes keep-alive connections after their
@@ -29,7 +33,8 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often blocking loops re-check the drain flag.
+/// How often blocking loops (the accept wait included) re-check the
+/// drain flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// SIGTERM flag set by the signal handler (`cfg(unix)`).
@@ -245,7 +250,7 @@ impl Server {
                     );
                     conn_handles.retain(|h| !h.is_finished());
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => wait_for_connection(&self.listener),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -267,6 +272,65 @@ impl Server {
         eprintln!("iwc-serve flightrecorder {}", self.shared.flight.to_json());
         Ok(())
     }
+}
+
+/// Blocks until the listener has a connection waiting, or for at most
+/// [`POLL`], so the accept loop still sees a drain within that time.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one valid pollfd that outlives the call; std links
+    // libc so `poll` is available. Readiness, a timeout, an error and
+    // EINTR (SIGTERM) all just return to the loop, which accepts or
+    // re-checks the drain flag.
+    unsafe {
+        poll(&mut fd, 1, POLL.as_millis() as i32);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener) {
+    std::thread::sleep(POLL);
+}
+
+/// Runs one job, turning a panic into a 500 that names the request so
+/// the worker thread survives it. The outer `Err` is that 500.
+fn catch_job_panic(
+    rid: &str,
+    job: impl FnOnce() -> Result<String, JobError>,
+) -> Result<Result<String, JobError>, JobError> {
+    // Unwind safety: the caller holds no lock across the call, the
+    // session cache runs decodes outside its own lock, and the trace
+    // analyzer's per-thread histogram drops any counts left behind at the
+    // start of its next fold, so a panic leaves no poisoned mutex or
+    // stale state for the next job on this worker.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        JobError::Failed(format!("job {rid} panicked: {what}"))
+    })
 }
 
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<QueuedJob>>) {
@@ -314,10 +378,14 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<QueuedJob>>) {
         // The span rides a thread-local, so the sim crate's decode and
         // launch paths charge their phases here without an API change;
         // the guard uninstalls it before the next job.
-        let result = {
+        let guarded = catch_job_panic(&rid, || {
             let _guard = span::set_current(Arc::clone(&job.span));
             job::run_job(&job.req, &shared.cache, sink)
-        };
+        });
+        let result = guarded.unwrap_or_else(|e| {
+            shared.registry.counter("serve/jobs_panicked").add(1);
+            Err(e)
+        });
         let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         shared.registry.histogram("serve/job_us").record(us);
         shared
@@ -456,7 +524,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, jobs: &SyncSender<Q
     loop {
         loop {
             match parser.next_request() {
-                Ok(Some(req)) => {
+                Ok(Some(mut req)) => {
                     shared.registry.counter("serve/requests").add(1);
                     if req.wants_ws_upgrade() {
                         // The connection leaves HTTP; the WS session owns it.
@@ -464,7 +532,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, jobs: &SyncSender<Q
                         return;
                     }
                     let close = req.wants_close() || shared.draining();
-                    let resp = route(&req, shared, jobs);
+                    let resp = route(&mut req, shared, jobs);
                     if resp.write_to(&mut stream, close).is_err() {
                         return;
                     }
@@ -500,7 +568,7 @@ fn write_http_error(stream: &mut TcpStream, e: &HttpError) -> std::io::Result<()
 }
 
 /// Routes one HTTP request to a response.
-fn route(req: &Request, shared: &Shared, jobs: &SyncSender<QueuedJob>) -> Response {
+fn route(req: &mut Request, shared: &Shared, jobs: &SyncSender<QueuedJob>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::json(format!(
             "{{\"ok\":true,\"draining\":{}}}",
@@ -532,15 +600,18 @@ fn route(req: &Request, shared: &Shared, jobs: &SyncSender<QueuedJob>) -> Respon
             if shared.draining() {
                 return Response::error(503, "draining").with_header("Retry-After", "1");
             }
-            let body = match std::str::from_utf8(&req.body) {
-                Ok(b) => b,
-                Err(_) => return Response::error(400, "body is not UTF-8"),
+            let body = std::mem::take(&mut req.body);
+            let Ok(text) = std::str::from_utf8(&body) else {
+                return Response::error(400, "body is not UTF-8");
             };
             let parse_started = Instant::now();
-            let parsed = match JobRequest::from_json(body) {
+            let parsed = match JobRequest::from_json(text) {
                 Ok(p) => p,
                 Err(e) => return Response::error(e.status(), e.message()),
             };
+            // Free the body now rather than while the job runs: a trace
+            // upload is about 400 KB.
+            drop(body);
             let span = SpanContext::new();
             span.record_phase(
                 "parse",
@@ -752,4 +823,33 @@ fn send_frame(stream: &mut TcpStream, frame: &ws::Frame) -> std::io::Result<()> 
 
 fn send_event(stream: &mut TcpStream, event: &str) -> std::io::Result<()> {
     send_frame(stream, &ws::Frame::text(event))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_becomes_a_500_naming_the_request() {
+        let r = catch_job_panic("req-7", || panic!("lane {} out of range", 99));
+        let e = r.expect_err("the panic is caught");
+        assert_eq!(e.status(), 500);
+        assert!(e.message().contains("req-7"), "{}", e.message());
+        assert!(
+            e.message().contains("lane 99 out of range"),
+            "{}",
+            e.message()
+        );
+
+        let r = catch_job_panic("req-8", || panic!("static message"));
+        assert!(r.expect_err("caught").message().contains("static message"));
+    }
+
+    #[test]
+    fn a_job_that_returns_passes_through() {
+        let ok = catch_job_panic("r", || Ok("body".to_string()));
+        assert_eq!(ok, Ok(Ok("body".to_string())));
+        let failed = catch_job_panic("r", || Err(JobError::NotFound("x".into())));
+        assert_eq!(failed, Ok(Err(JobError::NotFound("x".into()))));
+    }
 }

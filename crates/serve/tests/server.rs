@@ -588,3 +588,41 @@ fn graceful_drain_finishes_in_flight_jobs() {
         "drained daemon must not accept new connections"
     );
 }
+
+/// Each fresh connection is accepted as soon as it arrives: 40
+/// sequential one-shot requests take well under the 25 ms drain-poll
+/// period apiece.
+#[test]
+fn fresh_connections_are_accepted_promptly() {
+    let (addr, handle, join) = start(1, 4);
+    let _ = client::get(addr, "/healthz").expect("warm-up");
+
+    let started = Instant::now();
+    for _ in 0..40 {
+        let resp = client::get(addr, "/healthz").expect("healthz");
+        assert_eq!(resp.status, 200);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "40 sequential requests took {took:?}"
+    );
+    shutdown(addr, &handle, join);
+}
+
+/// An idle daemon waiting for connections still notices a drain
+/// promptly.
+#[test]
+fn idle_daemon_drains_within_a_second() {
+    let (addr, handle, join) = start(1, 4);
+    let _ = client::get(addr, "/healthz").expect("healthz");
+    // Let the accept loop settle into its wait.
+    std::thread::sleep(Duration::from_millis(100));
+    let asked = Instant::now();
+    handle.shutdown();
+    join.join()
+        .expect("server thread must not panic")
+        .expect("graceful drain returns Ok");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+}

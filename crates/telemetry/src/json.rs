@@ -52,6 +52,19 @@ impl Json {
         }
     }
 
+    /// Moves member `key` of an object out when it is a string, leaving
+    /// an empty string in its place: a large payload changes hands
+    /// without a copy.
+    pub fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Json::Obj(m) => match m.get_mut(key) {
+                Some(Json::Str(s)) => Some(std::mem::take(s)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// The numeric value, if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
@@ -86,6 +99,7 @@ pub fn escape(s: &str) -> String {
 /// Returns a message naming the byte offset and problem on malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -99,6 +113,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -204,6 +219,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, escape or
+            // control byte in one go. Those stop bytes are ASCII, so the
+            // run ends on a char boundary of the input.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -240,20 +264,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input was a valid &str"),
-                    );
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -311,6 +322,41 @@ mod tests {
         let s = "a\"b\\c\nd\te\u{1}f";
         let json = format!("\"{}\"", escape(s));
         assert_eq!(parse(&json).unwrap(), Json::Str(s.into()));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes() {
+        // 2-, 3- and 4-byte UTF-8 scalars touching escapes on both sides.
+        let cases = [
+            (r#""é\"é""#, "é\"é"),
+            (r#""\\é\\""#, "\\é\\"),
+            (r#""€\n世\"𝄞""#, "€\n世\"𝄞"),
+            (r#""𝄞\u00e9é\\""#, "𝄞éé\\"),
+            (r#""a\/b""#, "a/b"),
+            (r#""""#, ""),
+        ];
+        for (json, want) in cases {
+            assert_eq!(parse(json).unwrap(), Json::Str(want.into()), "{json}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected() {
+        for bad in ["\"a\u{1}b\"", "\"é\nx\"", "\"\t\"", "\"𝄞\u{1f}\""] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.contains("control character"), "{bad:?}: {err}");
+        }
+        assert!(parse("\"unterminated é").is_err());
+    }
+
+    #[test]
+    fn take_str_moves_the_string_out() {
+        let mut v = parse(r#"{"trace": "abc", "n": 1}"#).unwrap();
+        assert_eq!(v.take_str("trace").as_deref(), Some("abc"));
+        assert_eq!(v.get("trace").and_then(Json::as_str), Some(""));
+        assert_eq!(v.take_str("n"), None, "not a string");
+        assert_eq!(v.take_str("missing"), None);
+        assert_eq!(Json::Null.take_str("trace"), None);
     }
 
     #[test]

@@ -181,6 +181,9 @@ impl MaskHistogram {
     where
         F: FnMut(ExecMask, DataType, &mut Option<KeyCost>, u64),
     {
+        // A fold that unwound out of `charge` left its counts behind:
+        // drop them first. On a clean histogram this costs nothing.
+        self.clear();
         let mut stats = FoldStats::default();
         let result = self.fold_into(src, costed, &mut charge, &mut stats);
         if result.is_err() {
@@ -449,5 +452,23 @@ mod tests {
         assert!(hist.fold(&mut src, |_, _, _| {}).is_err());
         let (_, counts) = fold_counts(&mut hist, &t);
         assert_eq!(counts, scalar_counts(&t), "no stale counts survive");
+    }
+
+    #[test]
+    fn a_fold_that_panicked_leaves_no_stale_counts() {
+        let t = mixed_trace();
+        let mut hist = MaskHistogram::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut charges = 0;
+            let _ = hist.fold(&mut SliceSource::from(&t), |_, _, _| {
+                charges += 1;
+                assert!(charges < 3, "charge {charges} panics");
+            });
+        }));
+        assert!(unwound.is_err(), "the charge closure panicked");
+        let (stats, counts) = fold_counts(&mut hist, &t);
+        let (fresh_stats, fresh_counts) = fold_counts(&mut MaskHistogram::new(), &t);
+        assert_eq!(counts, fresh_counts, "no stale counts survive");
+        assert_eq!(stats, fresh_stats);
     }
 }
