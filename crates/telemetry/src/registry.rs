@@ -46,11 +46,7 @@ impl Registry {
 
     /// The counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("registry poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        intern(&self.counters, name, Counter::new)
     }
 
     /// The gauge registered under `name`, creating it on first use.
@@ -60,20 +56,12 @@ impl Registry {
     /// snapshot gauges they never flow through [`absorb`](Self::absorb),
     /// so nondeterministic values stay out of the additive counter tree.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
+        intern(&self.gauges, name, Gauge::new)
     }
 
     /// The histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.hists.lock().expect("registry poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        intern(&self.hists, name, Histogram::new)
     }
 
     /// Folds a snapshot into the live cells: counters add, histograms
@@ -105,6 +93,20 @@ impl Registry {
         }
         snap
     }
+}
+
+/// The cell under `name` in `cells`, created with `make` on first use.
+/// A hit clones the `Arc` without allocating; only a miss copies the
+/// name into a new key.
+fn intern<T>(cells: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, make: fn() -> T) -> Arc<T> {
+    let mut map = cells.lock().expect("registry poisoned");
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(
+        map.entry(name.to_owned())
+            .or_insert_with(|| Arc::new(make())),
+    )
 }
 
 /// How a typed statistics struct publishes its fields into a snapshot.
@@ -379,6 +381,20 @@ impl fmt::Display for TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeated_lookups_return_the_same_cell() {
+        let r = Registry::new();
+        let name = format!("serve/phase_us/{}", "decode");
+        assert!(Arc::ptr_eq(&r.counter(&name), &r.counter(&name)));
+        assert!(Arc::ptr_eq(&r.gauge(&name), &r.gauge(&name)));
+        assert!(Arc::ptr_eq(&r.histogram(&name), &r.histogram(&name)));
+        assert!(!Arc::ptr_eq(&r.counter(&name), &r.counter("serve/other")));
+        // The registry holds one reference per cell; each lookup hands out
+        // another rather than a new cell.
+        let held = r.counter(&name);
+        assert_eq!(Arc::strong_count(&held), 2);
+    }
 
     #[test]
     fn registry_interns_cells() {

@@ -18,7 +18,6 @@
 //! results cache both document this).
 
 use crate::format::{Trace, TraceRecord};
-use iwc_isa::types::DataType;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -75,16 +74,18 @@ impl RecordHasher {
     }
 
     /// Absorbs one record: the FNV-1a chain over its four bits bytes, the
-    /// width byte and the one or two dtype bytes, unrolled.
+    /// width byte and the one or two dtype bytes, unrolled. Inlined into
+    /// the pack decode loop, where the multiply chain overlaps the decode.
+    #[inline(always)]
     pub fn push(&mut self, r: &TraceRecord) {
         let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         let [b0, b1, b2, b3] = r.bits.to_le_bytes();
         let mut h = step(step(step(step(self.0 .0, b0), b1), b2), b3);
         h = step(h, r.width);
-        let name = dtype_debug_bytes(r.dtype);
-        h = step(h, name[0]);
-        if let Some(&b) = name.get(1) {
-            h = step(h, b);
+        let d = r.dtype as usize;
+        h = step(h, DTYPE_DEBUG_FIRST[d]);
+        if DTYPE_DEBUG_SECOND[d] != 0 {
+            h = step(h, DTYPE_DEBUG_SECOND[d]);
         }
         self.0 .0 = h;
     }
@@ -102,27 +103,18 @@ impl RecordHasher {
     }
 }
 
-/// The `Debug` rendering of each dtype as static bytes. The hash
-/// encoding predates this table (module docs: byte-compatible with the
-/// original `write!("{:?}")` form), so every arm must match `Debug`
-/// exactly — asserted by `debug_byte_table_matches_debug`. A lookup
-/// beats the formatting machinery by an order of magnitude on the
-/// hashing hot path (30M records per corpus pack scan).
-fn dtype_debug_bytes(d: DataType) -> &'static [u8] {
-    match d {
-        DataType::Ub => b"Ub",
-        DataType::B => b"B",
-        DataType::Uw => b"Uw",
-        DataType::W => b"W",
-        DataType::Hf => b"Hf",
-        DataType::Ud => b"Ud",
-        DataType::D => b"D",
-        DataType::F => b"F",
-        DataType::Uq => b"Uq",
-        DataType::Q => b"Q",
-        DataType::Df => b"Df",
-    }
-}
+/// The `Debug` rendering of each dtype as static bytes, indexed by
+/// `DataType as usize`: the first byte, and the second byte or 0 for a
+/// one-letter name. The hash encoding predates these tables (module
+/// docs: byte-compatible with the original `write!("{:?}")` form), so
+/// every entry must match `Debug` exactly — asserted by
+/// `debug_byte_table_matches_debug`. Two lookups beat both the
+/// formatting machinery and a `match` on the hashing hot path (30M
+/// records per corpus pack scan).
+const DTYPE_DEBUG_FIRST: [u8; 11] = [
+    b'U', b'B', b'U', b'W', b'H', b'U', b'D', b'F', b'U', b'Q', b'D',
+];
+const DTYPE_DEBUG_SECOND: [u8; 11] = [b'b', 0, b'w', 0, b'f', b'd', 0, 0, b'q', 0, b'f'];
 
 /// Stable content hash of an execution-mask trace: the record stream
 /// (mask bits, width, dtype), name excluded.
@@ -204,11 +196,16 @@ mod tests {
         // The static table IS the hash encoding; drifting from the Debug
         // rendering would silently change every content hash.
         for d in DataType::ALL {
-            assert_eq!(
-                dtype_debug_bytes(d),
-                format!("{d:?}").as_bytes(),
-                "table entry for {d:?}"
+            let (first, second) = (
+                DTYPE_DEBUG_FIRST[d as usize],
+                DTYPE_DEBUG_SECOND[d as usize],
             );
+            let table: &[u8] = if second == 0 {
+                &[first]
+            } else {
+                &[first, second]
+            };
+            assert_eq!(table, format!("{d:?}").as_bytes(), "table entry for {d:?}");
         }
     }
 }

@@ -44,11 +44,26 @@
 //! (repeat below 2, run past the record count, trailing or truncated
 //! payload bytes), or a content-hash mismatch — surfaces as
 //! [`TraceIoError::Malformed`]; the reader never panics and never
-//! silently truncates a stream. Hashes are verified incrementally while
-//! streaming, so verification costs no extra pass.
+//! silently truncates a stream.
+//!
+//! ## One-pass decode
+//!
+//! [`PackTraceReader`] decodes plain and RLE payloads with the same item
+//! loop (`format::ItemStream::decode`, shared with
+//! [`Trace::read_from`]). It reads the payload into a 24 KiB stash and
+//! walks the whole items in it. For each item it checks width, dtype and
+//! repeat count, steps the FNV-1a content hash, and writes the record
+//! into the chunk; a run item hashes its copies as it expands them. The
+//! hasher lives in a local for the chunk, and `record_from_wire` and
+//! `RecordHasher::push` are inlined into the loop, so the hash's serial
+//! multiply chain overlaps the decode work instead of following it in a
+//! second pass. Only a stash refill, and an item straddling one, leave
+//! the loop. Every pass verifies every record's hash; memory stays one
+//! chunk of records plus the stash.
 
 use crate::format::{
-    record_from_wire, record_to_wire, Trace, TraceIoError, TraceRecord, RECORD_WIRE_BYTES,
+    record_to_wire, ItemStream, Trace, TraceIoError, TraceRecord, BLANK_RECORD, RECORD_WIRE_BYTES,
+    RLE_WIDTH_FLAG,
 };
 use crate::hash::{Fnv1a, RecordHasher};
 use crate::source::{TraceSource, CHUNK_RECORDS};
@@ -72,11 +87,6 @@ pub const PACK_EXTENSION: &str = "iwcc";
 pub const PACK_FLAG_RLE: u32 = 1;
 /// All entry flag bits a version-2 reader understands.
 const PACK_FLAGS_KNOWN: u32 = PACK_FLAG_RLE;
-/// Bit 7 of the wire width byte marks an RLE item carrying a repeat
-/// count; legal widths (1–32) never set it.
-const RLE_WIDTH_FLAG: u8 = 0x80;
-/// Byte length of a flagged RLE item: a record plus its u32 repeat count.
-const RLE_ITEM_BYTES: usize = RECORD_WIRE_BYTES + 4;
 
 /// Upper bound on trace names, matching the `IWCT` reader.
 const MAX_NAME_BYTES: usize = 4096;
@@ -469,18 +479,26 @@ impl<R: Read + Seek> CorpusPack<R> {
     pub fn stream(&mut self, index: usize) -> Result<PackTraceReader<'_, R>, TraceIoError> {
         let entry = self.entries[index].clone();
         self.r.seek(SeekFrom::Start(entry.offset))?;
-        let payload_left = entry.payload_bytes;
+        // A plain reader consumes records*6 bytes whatever the index
+        // claims (`open` bounded both); a record-count lie is left for
+        // hash verification to catch.
+        let payload_left = if entry.is_rle() {
+            entry.payload_bytes
+        } else {
+            entry.records * RECORD_WIRE_BYTES as u64
+        };
         Ok(PackTraceReader {
             r: &mut self.r,
-            entry,
+            items: ItemStream::new(entry.records, entry.is_rle()),
             yielded: 0,
             verified: false,
             hasher: RecordHasher::new(),
-            buf: Vec::new(),
+            buf: vec![BLANK_RECORD; entry.records.min(CHUNK_RECORDS as u64) as usize],
             payload_left,
-            stash: Vec::new(),
+            stash: vec![0; payload_left.min(STASH_BYTES as u64) as usize],
             stash_pos: 0,
-            pending: None,
+            stash_end: 0,
+            entry,
         })
     }
 
@@ -494,126 +512,68 @@ impl<R: Read + Seek> CorpusPack<R> {
     }
 }
 
-/// [`TraceSource`] over one pack entry's payload run. Chunks are decoded
-/// through the shared `IWCT` record validation and hashed incrementally;
-/// the final `None` is withheld until the computed hash matches the index
-/// (mismatch → [`TraceIoError::Malformed`]).
+/// [`TraceSource`] over one pack entry's payload run. Each chunk is
+/// decoded, validated and hashed in one pass over the payload bytes
+/// (module docs); the final `None` is withheld until the computed hash
+/// matches the index (mismatch → [`TraceIoError::Malformed`]).
 pub struct PackTraceReader<'a, R: Read + Seek> {
     r: &'a mut R,
     entry: PackEntry,
+    items: ItemStream,
     /// Records already yielded.
     yielded: u64,
     verified: bool,
     hasher: RecordHasher,
+    /// The chunk handed out: `min(records, CHUNK_RECORDS)` slots.
     buf: Vec<TraceRecord>,
-    /// Encoded payload bytes not yet pulled into the stash (RLE path).
+    /// Encoded payload bytes not yet pulled into the stash.
     payload_left: u64,
-    /// Raw payload bytes awaiting item decode (RLE path); items may
-    /// straddle refills, so parsed bytes advance `stash_pos` and the
-    /// remainder compacts forward.
+    /// Raw payload bytes awaiting decode in `stash[stash_pos..stash_end]`.
+    /// Items may straddle refills, so a refill first moves that partial
+    /// item (under 10 bytes) to the front.
     stash: Vec<u8>,
     stash_pos: usize,
-    /// A decoded run not yet fully expanded into yielded chunks.
-    pending: Option<(TraceRecord, u64)>,
+    stash_end: usize,
 }
 
-/// Stash refill granularity for RLE payloads, matching the plain path's
-/// per-chunk read size.
+/// Stash refill granularity: one chunk of plain records.
 const STASH_BYTES: usize = CHUNK_RECORDS * RECORD_WIRE_BYTES;
 
 impl<R: Read + Seek> PackTraceReader<'_, R> {
-    fn records_left(&self) -> u64 {
-        self.entry.records - self.yielded
+    /// Moves the undecoded stash tail to the front and tops the stash up
+    /// from the payload. `Ok(false)` means the payload is exhausted.
+    fn refill(&mut self) -> Result<bool, TraceIoError> {
+        if self.payload_left == 0 {
+            return Ok(false);
+        }
+        let rest = self.stash_end - self.stash_pos;
+        self.stash.copy_within(self.stash_pos..self.stash_end, 0);
+        let want = ((self.stash.len() - rest) as u64).min(self.payload_left) as usize;
+        read_exact_or_malformed(self.r, &mut self.stash[rest..rest + want], "trace payload")?;
+        self.payload_left -= want as u64;
+        self.stash_pos = 0;
+        self.stash_end = rest + want;
+        Ok(true)
     }
 
-    /// Ensures at least `need` un-parsed stash bytes, refilling from the
-    /// payload as required. `Ok(false)` means the payload is cleanly
-    /// exhausted (zero bytes left); a partial item left over is malformed.
-    fn fill_stash(&mut self, need: usize) -> Result<bool, TraceIoError> {
-        loop {
-            let avail = self.stash.len() - self.stash_pos;
-            if avail >= need {
-                return Ok(true);
-            }
-            if self.payload_left == 0 {
-                if avail == 0 {
-                    return Ok(false);
-                }
-                return Err(TraceIoError::Malformed(format!(
-                    "trace '{}': truncated RLE item at end of payload",
-                    self.entry.name
-                )));
-            }
-            self.stash.drain(..self.stash_pos);
-            self.stash_pos = 0;
-            let want = (STASH_BYTES - self.stash.len()).min(self.payload_left as usize);
-            let start = self.stash.len();
-            self.stash.resize(start + want, 0);
-            read_exact_or_malformed(self.r, &mut self.stash[start..], "trace payload")?;
-            self.payload_left -= want as u64;
+    /// Verifies the stream once every record is out: no payload bytes
+    /// may trail the last record, and the hash must match the index.
+    fn verify(&mut self) -> Result<(), TraceIoError> {
+        if self.payload_left > 0 || self.stash_pos < self.stash_end {
+            return Err(TraceIoError::Malformed(format!(
+                "trace '{}': trailing payload bytes after {} records",
+                self.entry.name, self.entry.records
+            )));
         }
-    }
-
-    /// Decodes RLE items into `buf` until the chunk is full or the payload
-    /// runs dry, carrying partially expanded runs in `pending`.
-    fn next_chunk_rle(&mut self) -> Result<(), TraceIoError> {
-        while self.buf.len() < CHUNK_RECORDS {
-            if let Some((rec, n)) = self.pending.take() {
-                let space = (CHUNK_RECORDS - self.buf.len()) as u64;
-                let take = n.min(space);
-                self.buf.resize(self.buf.len() + take as usize, rec);
-                if n > take {
-                    self.pending = Some((rec, n - take));
-                }
-                continue;
-            }
-            if !self.fill_stash(RECORD_WIRE_BYTES)? {
-                break;
-            }
-            let base = self.stash_pos;
-            let mut head: [u8; RECORD_WIRE_BYTES] = self.stash[base..base + RECORD_WIRE_BYTES]
-                .try_into()
-                .expect("exact slice");
-            let already = self.yielded + self.buf.len() as u64 + self.pending.map_or(0, |(_, n)| n);
-            if head[4] & RLE_WIDTH_FLAG != 0 {
-                if !self.fill_stash(RLE_ITEM_BYTES)? {
-                    unreachable!("fill_stash cannot report clean EOF with bytes stashed");
-                }
-                let base = self.stash_pos;
-                head[4] &= !RLE_WIDTH_FLAG;
-                let rec = record_from_wire(&head)?;
-                let count = u64::from(u32::from_le_bytes(
-                    self.stash[base + RECORD_WIRE_BYTES..base + RLE_ITEM_BYTES]
-                        .try_into()
-                        .expect("exact slice"),
-                ));
-                if count < 2 {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': RLE repeat count {count} below 2",
-                        self.entry.name
-                    )));
-                }
-                if count > self.entry.records - already {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': RLE run of {count} records overruns the \
-                         record count {}",
-                        self.entry.name, self.entry.records
-                    )));
-                }
-                self.stash_pos += RLE_ITEM_BYTES;
-                self.pending = Some((rec, count));
-            } else {
-                if already >= self.entry.records {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': payload continues past the record count {}",
-                        self.entry.name, self.entry.records
-                    )));
-                }
-                let rec = record_from_wire(&head)?;
-                self.stash_pos += RECORD_WIRE_BYTES;
-                self.buf.push(rec);
-            }
+        if self.hasher.finish() != self.entry.content_hash {
+            return Err(TraceIoError::Malformed(format!(
+                "content hash mismatch for trace '{}': index says {:#018x}, payload hashes to {:#018x}",
+                self.entry.name,
+                self.entry.content_hash,
+                self.hasher.finish()
+            )));
         }
+        self.verified = true;
         Ok(())
     }
 }
@@ -628,56 +588,47 @@ impl<R: Read + Seek> TraceSource for PackTraceReader<'_, R> {
     }
 
     fn next_chunk(&mut self) -> Result<Option<&[TraceRecord]>, TraceIoError> {
-        let left = self.records_left();
-        if left == 0 {
+        if self.yielded == self.entry.records {
             if !self.verified {
-                if self.entry.is_rle()
-                    && (self.payload_left > 0 || self.stash.len() > self.stash_pos)
-                {
-                    return Err(TraceIoError::Malformed(format!(
-                        "trace '{}': trailing payload bytes after {} records",
-                        self.entry.name, self.entry.records
-                    )));
-                }
-                self.verified = true;
-                if self.hasher.finish() != self.entry.content_hash {
-                    return Err(TraceIoError::Malformed(format!(
-                        "content hash mismatch for trace '{}': index says {:#018x}, payload hashes to {:#018x}",
-                        self.entry.name,
-                        self.entry.content_hash,
-                        self.hasher.finish()
-                    )));
-                }
+                self.verify()?;
             }
             return Ok(None);
         }
-        if self.entry.is_rle() {
-            self.buf.clear();
-            self.next_chunk_rle()?;
-            if self.buf.is_empty() {
-                return Err(TraceIoError::Malformed(format!(
-                    "trace '{}': payload exhausted after {} of {} records",
-                    self.entry.name, self.yielded, self.entry.records
-                )));
+        // The fast path is the decode loop over whole items in the stash;
+        // a refill, and an item straddling it, drop out to this loop.
+        let mut h = self.hasher;
+        let mut filled = 0;
+        loop {
+            self.items.decode::<true>(
+                &self.entry.name,
+                &self.stash[..self.stash_end],
+                &mut self.stash_pos,
+                &mut self.buf,
+                &mut filled,
+                &mut h,
+            )?;
+            if filled == self.buf.len() {
+                break;
             }
-        } else {
-            let take = left.min(CHUNK_RECORDS as u64) as usize;
-            // The stash is otherwise unused on the plain path; reuse it as
-            // the wire buffer so steady-state chunking never allocates
-            // (stash_pos stays 0, and the RLE trailing-bytes check at EOF
-            // is gated on is_rle).
-            self.stash.resize(take * RECORD_WIRE_BYTES, 0);
-            read_exact_or_malformed(self.r, &mut self.stash, "trace payload")?;
-            self.buf.clear();
-            self.buf.reserve(take);
-            for rec in self.stash.chunks_exact(RECORD_WIRE_BYTES) {
-                let rec: &[u8; RECORD_WIRE_BYTES] = rec.try_into().expect("exact chunks");
-                self.buf.push(record_from_wire(rec)?);
+            if !self.refill()? {
+                if self.stash_pos < self.stash_end {
+                    return Err(TraceIoError::Malformed(format!(
+                        "trace '{}': truncated RLE item at end of payload",
+                        self.entry.name
+                    )));
+                }
+                break;
             }
         }
-        self.hasher.push_all(&self.buf);
-        self.yielded += self.buf.len() as u64;
-        Ok(Some(&self.buf))
+        self.hasher = h;
+        if filled == 0 {
+            return Err(TraceIoError::Malformed(format!(
+                "trace '{}': payload exhausted after {} of {} records",
+                self.entry.name, self.yielded, self.entry.records
+            )));
+        }
+        self.yielded += filled as u64;
+        Ok(Some(&self.buf[..filled]))
     }
 }
 
@@ -729,6 +680,7 @@ fn write_pack_file_with<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::RLE_ITEM_BYTES;
     use iwc_isa::mask::ExecMask;
     use iwc_isa::types::DataType;
     use std::io::Cursor;
@@ -941,6 +893,87 @@ mod tests {
             .read_trace(0)
             .expect_err("undershoot");
         assert!(err.to_string().contains("payload exhausted"), "{err}");
+    }
+
+    /// A trace whose RLE payload puts a run item `k` bytes before the
+    /// first stash refill boundary, so the refill splits it after `k` of
+    /// its 10 bytes. The run is `CHUNK_RECORDS + 7` records long, so it
+    /// also spans chunk boundaries. Returns the trace and the payload
+    /// offset of the run item.
+    fn straddling(k: usize) -> (Trace, usize) {
+        let before = STASH_BYTES - k;
+        // `before` bytes of lone records (6 bytes each) and pairs (one
+        // 10-byte run item each).
+        let pairs = (0..).find(|p| (before - 10 * p).is_multiple_of(6)).unwrap();
+        let lone = (before - 10 * pairs) / 6;
+        let mut t = Trace::new(format!("straddle-{k}"));
+        let mut item = 0u32;
+        let mut push = |t: &mut Trace, n: usize, dtype: DataType| {
+            item += 1;
+            for _ in 0..n {
+                t.push(ExecMask::new(item % 0xFFFF + 1, 16), dtype);
+            }
+        };
+        for _ in 0..pairs {
+            push(&mut t, 2, DataType::W);
+        }
+        for _ in 0..lone {
+            push(&mut t, 1, DataType::F);
+        }
+        push(&mut t, CHUNK_RECORDS + 7, DataType::Df);
+        for n in [1, 3, 1, 2 * CHUNK_RECORDS, 1] {
+            push(&mut t, n, DataType::Ub);
+        }
+        (t, before)
+    }
+
+    #[test]
+    fn rle_items_straddling_a_refill_decode_exactly() {
+        // Items are 6 or 10 bytes and every refill reads an even count,
+        // so a refill boundary falls 0, 2, 4, 6 or 8 bytes into an item:
+        // inside the record, between record and count, inside the count.
+        for k in (0..RLE_ITEM_BYTES).step_by(2) {
+            let (t, at) = straddling(k);
+            let rle = pack_bytes_with(std::slice::from_ref(&t), true);
+            let item = PACK_HEADER_BYTES as usize + at;
+            assert_ne!(rle[item + 4] & RLE_WIDTH_FLAG, 0, "k={k}: a run item");
+            let mut pack = CorpusPack::open(Cursor::new(rle.clone())).unwrap();
+            let mut plain =
+                CorpusPack::open(Cursor::new(pack_bytes(std::slice::from_ref(&t)))).unwrap();
+            assert_eq!(
+                pack.read_trace(0).unwrap(),
+                plain.read_trace(0).unwrap(),
+                "k={k}"
+            );
+            let mut src = pack.stream(0).unwrap();
+            let mut at = 0;
+            while let Some(chunk) = src.next_chunk().unwrap() {
+                assert_eq!(
+                    chunk,
+                    &t.records[at..at + chunk.len()],
+                    "k={k}, record {at}"
+                );
+                assert!(chunk.len() == CHUNK_RECORDS || at + chunk.len() == t.len());
+                at += chunk.len();
+            }
+            assert_eq!(at, t.len(), "k={k}");
+
+            // A wrong count at the boundary is malformed either way.
+            let count = item + RECORD_WIRE_BYTES;
+            let n = u32::from_le_bytes(rle[count..count + 4].try_into().unwrap());
+            for bad in [n - 1, n + 1] {
+                let mut wrong = rle.clone();
+                wrong[count..count + 4].copy_from_slice(&bad.to_le_bytes());
+                let err = CorpusPack::open(Cursor::new(wrong))
+                    .unwrap()
+                    .read_trace(0)
+                    .expect_err("wrong count");
+                assert!(
+                    matches!(err, TraceIoError::Malformed(_)),
+                    "k={k}, {bad}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

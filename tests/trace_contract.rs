@@ -9,8 +9,18 @@
 //! generator or to the cycle models shows up here as a digest mismatch.
 //! The full-corpus and adversarial-stream suite lives in
 //! `crates/trace/tests/rle_equivalence.rs`.
+//!
+//! The pack reader must also survive hostile bytes: a short slice of the
+//! mutation run in `crates/trace/tests/pack_mutation.rs` cuts a small
+//! plain and a small RLE pack at every offset and flips seeded bytes in
+//! their payload and index, and the reader must agree with a per-record
+//! reference decoder on every entry without panicking.
+
+#[path = "../crates/trace/tests/support/mutation.rs"]
+mod mutation;
 
 use intra_warp_compaction::compaction::{CompactionMode, CompactionTally};
+use intra_warp_compaction::isa::{DataType, ExecMask};
 use intra_warp_compaction::trace::hash::Fnv1a;
 use intra_warp_compaction::trace::pack::{write_pack_file, write_pack_file_rle};
 use intra_warp_compaction::trace::{analyze_pack_file, corpus, Trace, TraceReport};
@@ -102,4 +112,22 @@ fn pack_analysis_matches_scalar_fold_of_the_generator() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pack_reader_agrees_with_the_reference_on_mutated_packs() {
+    let mut traces: Vec<Trace> = corpus().iter().take(2).map(|p| p.generate(300)).collect();
+    let mut runs = Trace::new("runs");
+    for (bits, n) in [(0xFFFF, 40), (0x00FF, 1), (0x0F0F, 300)] {
+        for _ in 0..n {
+            runs.push(ExecMask::new(bits, 16), DataType::F);
+        }
+    }
+    traces.push(runs);
+    for (rle, seed) in [(false, 0x5eed_0011), (true, 0x5eed_0012)] {
+        let bytes = mutation::pack_bytes(&traces, rle);
+        let cov = mutation::mutate(&bytes, if rle { "rle" } else { "plain" }, seed, 150);
+        assert!(cov.mutants > 1 + bytes.len() + 2 * 150 || !rle, "{cov:?}");
+        assert!(cov.decoded >= traces.len(), "{cov:?}");
+    }
 }
